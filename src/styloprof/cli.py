@@ -13,9 +13,9 @@ import sys
 
 from .corpus import FORMATS, LANGUAGES, TRAIT_NAMES, CorpusSpec, open_text
 from .errors import ConfigError, DataError, StyloprofError
-from .experiment import (as_samples, extract_counts, parse_config_file,
-                         predict_samples, prepare_corpus, render_result,
-                         run_experiment, train_full, truth_rows)
+from .experiment import (as_samples, parse_config_file, predict_samples,
+                         prepare_corpus, render_result, run_experiment,
+                         sample_counts, train_full, truth_rows)
 from .features import Vocabulary, build_vocabulary
 from .learner import load_model, save_model
 from .metrics import confusion, render_report, render_trait_report, report, trait_rmse_report
@@ -74,7 +74,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_featurize(args) -> int:
     samples = _prepared_samples(args)
-    counts = [extract_counts(s) for s in samples]
+    counts = [sample_counts(s) for s in samples]
     vocab = build_vocabulary(counts, min_df=args.min_df)
     vocab.save(args.vocab_out)
     n_char = sum(1 for k in vocab.keys if k.channel == "char")

@@ -29,8 +29,8 @@ from .corpus import (CorpusSpec, Document, LabeledDocument, Sample,
                      group_into_samples, load_flat_csv, load_pan_truth_dir,
                      open_text, stratified_split, TRAIT_NAMES)
 from .errors import ConfigError, DataError
-from .features import (LINEAR, LOG2, ScalingPolicy, Vocabulary, build_vocabulary,
-                       char_ngrams, default_policy, pos_ngrams, vectorize)
+from .features import (CHAR, LINEAR, LOG2, POS, FeatureKey, ScalingPolicy, Vocabulary,
+                       build_vocabulary, char_ngrams, default_policy, pos_ngrams, vectorize)
 from .learner import (ModelBundle, TrainConfig, ovr_margins, predict_binary,
                       predict_ovr, predict_traits, train_binary, train_ovr,
                       train_traits)
@@ -374,14 +374,28 @@ def prepare_corpus(spec: CorpusSpec, rules, lexicon, warnings: list[str]) -> Pre
 # ---------------------------------------------------------------------------
 # feature extraction and task runners
 
-def extract_counts(sample: Sample) -> tuple[Counter, Counter]:
-    """Char and POS gram counts pooled over every document of a sample."""
-    chars: Counter = Counter()
+def sample_counts(sample: Sample) -> tuple[Counter, Counter]:
+    """Char (string-keyed) and POS (tuple-keyed) gram counts pooled over
+    every document of a sample.  Tokens never span documents, so the
+    char grams of the joined texts are the sum of each document's."""
+    chars = char_ngrams(" ".join(doc.text for doc in sample.documents), 1, 3)
     tags: Counter = Counter()
     for doc in sample.documents:
-        chars.update(char_ngrams(doc.text, 1, 3))
-        tags.update(pos_ngrams(list(doc.pos_tags), 1, 3))
+        # elements() keeps the merge in C; Counter.update merges a mapping
+        # key by key in Python
+        tags.update(pos_ngrams(list(doc.pos_tags), 1, 3).elements())
     return chars, tags
+
+
+def extract_counts(sample: Sample) -> tuple[Counter, Counter]:
+    """`sample_counts` re-keyed by `FeatureKey`, the vocabulary's key type.
+
+    A benchmark-only view: the benchmark's recount check reads `key.gram`
+    off the pooled counts.  Its output is not input for `build_vocabulary`
+    or `vectorize`, which take `sample_counts`'s plain keys."""
+    chars, tags = sample_counts(sample)
+    return (Counter({FeatureKey(CHAR, tuple(gram)): n for gram, n in chars.items()}),
+            Counter({FeatureKey(POS, gram): n for gram, n in tags.items()}))
 
 
 @dataclass
@@ -431,7 +445,7 @@ def predict_one(bundle: ModelBundle, x):
 def predict_samples(bundle: ModelBundle, vocab: Vocabulary, samples: list[Sample]) -> list[tuple]:
     rows = []
     for sample in samples:
-        chars, tags = extract_counts(sample)
+        chars, tags = sample_counts(sample)
         x = vectorize(chars, tags, vocab, bundle.policy)
         prediction = predict_one(bundle, x)
         if bundle.kind == "traits":
@@ -456,8 +470,8 @@ def truth_rows(kind: str, samples: list[Sample]) -> list[tuple]:
 def run_single(task: str, train_samples: list[Sample], test_samples: list[Sample],
                policy: ScalingPolicy, min_df: int, tc: TrainConfig,
                report_classes: list | None = None) -> RunOutcome:
-    train_counts = [extract_counts(s) for s in train_samples]
-    test_counts = [extract_counts(s) for s in test_samples]
+    train_counts = [sample_counts(s) for s in train_samples]
+    test_counts = [sample_counts(s) for s in test_samples]
     vocab = build_vocabulary(train_counts, min_df=min_df)
     x_train = [vectorize(c, p, vocab, policy) for c, p in train_counts]
     x_test = [vectorize(c, p, vocab, policy) for c, p in test_counts]
@@ -502,7 +516,7 @@ def train_full(cfg: ExperimentConfig):
     lexicon = load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else {}
     prepared = prepare_corpus(cfg.train_corpus, rules, lexicon, warnings)
     samples = as_samples(prepared)
-    counts = [extract_counts(s) for s in samples]
+    counts = [sample_counts(s) for s in samples]
     vocab = build_vocabulary(counts, min_df=cfg.min_df)
     policy = cfg.resolved_scaling()
     x_train = [vectorize(c, p, vocab, policy) for c, p in counts]

@@ -7,6 +7,12 @@ and orders 1..3 this yields 12 unigrams, 13 bigrams and 12 trigrams.
 
 POS n-grams: plain windows over the unpadded tag stream.
 
+Grams are counted under plain keys, one key type per channel: a char
+gram is its window string (``"_se"``), a POS gram its tuple of tags.
+`build_vocabulary` and `vectorize` take those counts as they are; only
+the vocabulary's own columns are named by `FeatureKey(channel, gram)`,
+which is also what the vocabulary file and `content_hash` are made of.
+
 Counts are per *sample* (all documents pooled) and scaled either linearly
 or as log2(1 + count), selectable per channel.
 """
@@ -55,27 +61,32 @@ def _check_order(n_min: int, n_max: int) -> None:
 
 
 def char_ngrams(text: str, n_min: int = 1, n_max: int = 3) -> Counter:
-    """Multiset of padded character n-grams of orders n_min..n_max."""
+    """Multiset of padded character n-grams of orders n_min..n_max, keyed
+    by the window itself (``"_ab"``).  Keys first appear token by token,
+    lower orders first, so pooled counts keep a stable order."""
     _check_order(n_min, n_max)
-    grams: Counter = Counter()
+    windows: list[str] = []
     for token in text.split():
         padded = PAD + token + PAD
-        for n in range(n_min, n_max + 1):
-            for i in range(len(padded) - n + 1):
-                window = padded[i : i + n]
-                if window == PAD * n:
-                    continue
-                grams[FeatureKey(CHAR, tuple(window))] += 1
-    return grams
+        grams = padded
+        for n in range(1, n_max + 1):
+            if n > 1:
+                grams = list(map(str.__add__, grams, padded[n - 1 :]))
+            if n >= n_min:
+                windows += grams
+    counts = Counter(windows)
+    for n in range(n_min, n_max + 1):
+        counts.pop(PAD * n, None)
+    return counts
 
 
 def pos_ngrams(stream: list[str], n_min: int = 1, n_max: int = 3) -> Counter:
-    """Multiset of unpadded tag n-grams of orders n_min..n_max."""
+    """Multiset of unpadded tag n-grams of orders n_min..n_max, keyed by
+    the tuple of tags."""
     _check_order(n_min, n_max)
     grams: Counter = Counter()
     for n in range(n_min, n_max + 1):
-        for i in range(len(stream) - n + 1):
-            grams[FeatureKey(POS, tuple(stream[i : i + n]))] += 1
+        grams.update(zip(*(stream[i:] for i in range(n))))
     return grams
 
 
@@ -88,20 +99,37 @@ class SparseVector:
 @dataclass
 class Vocabulary:
     """Bijection between feature keys and column ids, ordered by channel
-    then lexicographic gram so construction order never matters."""
+    then lexicographic gram so construction order never matters.
+
+    `vectorize` looks grams up in one index per channel, keyed the way
+    `char_ngrams` (a string) and `pos_ngrams` (a tuple) key them.  A char
+    gram's units must each be one character, so that the string names a
+    single key."""
 
     keys: list[FeatureKey]
     min_df: int
-    index: dict[FeatureKey, int] = field(init=False, repr=False)
+    char_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    pos_index: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.index = {key: col for col, key in enumerate(self.keys)}
+        self.char_index, self.pos_index = {}, {}
+        for col, key in enumerate(self.keys):
+            if key.channel == CHAR:
+                if any(len(unit) != 1 for unit in key.gram):
+                    raise DataError(f"char gram {key.gram!r} has a unit that is not one character")
+                self.char_index["".join(key.gram)] = col
+            elif key.channel == POS:
+                self.pos_index[key.gram] = col
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def column(self, key: FeatureKey) -> int | None:
-        return self.index.get(key)
+        if key.channel == CHAR:
+            return self.char_index.get("".join(key.gram))
+        if key.channel == POS:
+            return self.pos_index.get(key.gram)
+        return None
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -140,10 +168,17 @@ class Vocabulary:
                 channel, joined, col = parts
                 if channel not in (CHAR, POS):
                     raise DataError(f"{path}:{lineno}: unknown channel {channel!r}")
-                if int(col) != len(keys):
+                try:
+                    in_order = int(col) == len(keys)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: column {col!r} is not an integer") from None
+                if not in_order:
                     raise DataError(f"{path}:{lineno}: columns out of order")
                 keys.append(FeatureKey(channel, _split_units(joined)))
-        return cls(keys=keys, min_df=min_df)
+        try:
+            return cls(keys=keys, min_df=min_df)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 UNIT_SEP = "␟"  # printable unit-separator symbol
@@ -181,34 +216,42 @@ def _split_units(joined: str) -> tuple[str, ...]:
 
 
 def build_vocabulary(samples: Iterable[tuple[Counter, Counter]], min_df: int = 2) -> Vocabulary:
-    """Vocabulary of keys occurring in at least `min_df` distinct training
-    samples.  Build from training data only."""
+    """Vocabulary of grams occurring in at least `min_df` distinct training
+    samples, from (`char_ngrams`, `pos_ngrams`)-keyed count pairs.  Build
+    from training data only."""
     if min_df < 1:
         raise ConfigError(f"min_df must be >= 1, got {min_df}")
-    df: Counter = Counter()
+    char_df: Counter = Counter()
+    pos_df: Counter = Counter()
     n = 0
     for char_counts, pos_counts in samples:
         n += 1
-        seen = set(char_counts)
-        seen.update(pos_counts)
-        df.update(seen)
+        char_df.update(char_counts.keys())
+        pos_df.update(pos_counts.keys())
     if n == 0:
         raise DataError("cannot build a vocabulary from an empty training set")
-    keys = sorted(key for key, d in df.items() if d >= min_df)
+    # a string sorts like the tuple of its characters, so this is the
+    # (channel, gram) order of the FeatureKeys
+    char_grams = sorted(gram for gram, d in char_df.items() if d >= min_df)
+    pos_grams = sorted(gram for gram, d in pos_df.items() if d >= min_df)
+    keys = [FeatureKey(CHAR, tuple(gram)) for gram in char_grams]
+    keys += [FeatureKey(POS, gram) for gram in pos_grams]
     return Vocabulary(keys=keys, min_df=min_df)
 
 
 def vectorize(char_counts: Counter, pos_counts: Counter, vocab: Vocabulary,
               policy: ScalingPolicy) -> SparseVector:
-    """Scaled sparse vector over `vocab`; out-of-vocabulary grams dropped."""
+    """Scaled sparse vector over `vocab` from `char_ngrams`- and
+    `pos_ngrams`-keyed counts; out-of-vocabulary grams dropped."""
     if len(vocab) == 0:
         raise DataError("empty vocabulary")
     entries: dict[int, float] = {}
-    for counts, scale in ((char_counts, policy.char_scale), (pos_counts, policy.pos_scale)):
-        for key, count in counts.items():
-            col = vocab.index.get(key)
+    for counts, index, scale in ((char_counts, vocab.char_index, policy.char_scale),
+                                 (pos_counts, vocab.pos_index, policy.pos_scale)):
+        column = index.get
+        for gram, count in counts.items():
+            col = column(gram)
             if col is None or count == 0:
                 continue
-            value = float(count) if scale == LINEAR else math.log2(1.0 + count)
-            entries[col] = value
+            entries[col] = float(count) if scale == LINEAR else math.log2(1.0 + count)
     return SparseVector(entries=entries, dimension=len(vocab))

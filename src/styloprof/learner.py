@@ -38,6 +38,9 @@ class TrainConfig:
     epsilon: float = 0.1  # regression only
 
     def __post_init__(self):
+        for name in ("c_param", "tolerance", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c_param <= 0:
             raise DataError(f"c_param must be positive, got {self.c_param}")
         if self.epochs < 1:
@@ -82,7 +85,9 @@ class TraitRegressor:
 
 def _prepare(X: Sequence[SparseVector]):
     """Index/value arrays per sample, sorted by column, plus the shared
-    dimension.  Rejects non-finite values and out-of-range columns."""
+    dimension and the same entries laid out flat for whole-set margins:
+    (rows that have entries, where each of them starts, columns, values).
+    Rejects non-finite values and out-of-range columns."""
     if not X:
         raise DataError("empty training set")
     dim = X[0].dimension
@@ -103,7 +108,10 @@ def _prepare(X: Sequence[SparseVector]):
             ind, val = ind[order], val[order]
         idxs.append(ind)
         vals.append(val)
-    return dim, idxs, vals
+    lengths = np.array([ind.size for ind in idxs])
+    nonempty = lengths > 0
+    starts = (np.cumsum(lengths) - lengths)[nonempty]
+    return dim, idxs, vals, (nonempty, starts, np.concatenate(idxs), np.concatenate(vals))
 
 
 def _margin(weights: np.ndarray, bias: float, x: SparseVector) -> float:
@@ -136,33 +144,37 @@ def epsilon_objective(weights: np.ndarray, bias: float, X: Sequence[SparseVector
     return reg + c_param * loss
 
 
-def _primal_hinge(w, dim, idxs, vals, y, c_param) -> float:
-    reg = 0.5 * float(w @ w)
-    loss = 0.0
-    for ind, val, label in zip(idxs, vals, y):
-        margin = float(w[ind] @ val) + w[dim]
-        loss += max(0.0, 1.0 - label * margin)
-    return reg + c_param * loss
+def _margins(w, dim, flat, n) -> np.ndarray:
+    """Margins of all n samples in one pass over the flat layout."""
+    nonempty, starts, cols, values = flat
+    margins = np.full(n, w[dim])
+    if starts.size:
+        margins[nonempty] += np.add.reduceat(values * w[cols], starts)
+    return margins
 
 
-def _primal_eps(w, dim, idxs, vals, t, c_param, epsilon) -> float:
-    reg = 0.5 * float(w @ w)
-    loss = 0.0
-    for ind, val, target in zip(idxs, vals, t):
-        pred = float(w[ind] @ val) + w[dim]
-        loss += max(0.0, abs(pred - target) - epsilon)
-    return reg + c_param * loss
+# einsum, not `w @ w`: past 10,000 columns BLAS wakes a worker thread
+# that then spins for the rest of training
+def _primal_hinge(w, dim, flat, y: np.ndarray, c_param) -> float:
+    loss = np.maximum(0.0, 1.0 - y * _margins(w, dim, flat, y.size)).sum()
+    return 0.5 * float(np.einsum("i,i->", w, w)) + c_param * float(loss)
+
+
+def _primal_eps(w, dim, flat, t: np.ndarray, c_param, epsilon) -> float:
+    loss = np.maximum(0.0, np.abs(_margins(w, dim, flat, t.size) - t) - epsilon).sum()
+    return 0.5 * float(np.einsum("i,i->", w, w)) + c_param * float(loss)
 
 
 # ---------------------------------------------------------------------------
 # solvers
 
-def _solve_hinge(dim, idxs, vals, y, cfg: TrainConfig):
+def _solve_hinge(dim, idxs, vals, flat, y, cfg: TrainConfig):
     """Dual coordinate descent on the L1-hinge SVM.  Each coordinate step
     minimizes the dual exactly; stops when no projected-gradient
     violation reaches the tolerance over a full sweep."""
     n = len(y)
     c = cfg.c_param
+    y_arr = np.asarray(y, dtype=np.float64)
     w = np.zeros(dim + 1)
     alpha = np.zeros(n)
     qii = [float(v @ v) + 1.0 for v in vals]
@@ -191,18 +203,19 @@ def _solve_hinge(dim, idxs, vals, y, cfg: TrainConfig):
                     alpha[i] = new_a
                     w[ind] += (delta * y[i]) * val
                     w[dim] += delta * y[i]
-        objectives.append(_primal_hinge(w, dim, idxs, vals, y, c))
+        objectives.append(_primal_hinge(w, dim, flat, y_arr, c))
         if worst < cfg.tolerance:
             break
     return w, objectives
 
 
-def _solve_eps(dim, idxs, vals, t, cfg: TrainConfig):
+def _solve_eps(dim, idxs, vals, flat, t, cfg: TrainConfig):
     """Dual coordinate descent on the epsilon-insensitive regression,
     one box-constrained coefficient per sample in [-C, C]."""
     n = len(t)
     c = cfg.c_param
     eps = cfg.epsilon
+    t_arr = np.asarray(t, dtype=np.float64)
     w = np.zeros(dim + 1)
     beta = np.zeros(n)
     qii = [float(v @ v) + 1.0 for v in vals]
@@ -241,7 +254,7 @@ def _solve_eps(dim, idxs, vals, t, cfg: TrainConfig):
                 beta[i] = new_b
                 w[ind] += delta * val
                 w[dim] += delta
-        objectives.append(_primal_eps(w, dim, idxs, vals, t, c, eps))
+        objectives.append(_primal_eps(w, dim, flat, t_arr, c, eps))
         if worst < cfg.tolerance:
             break
     return w, objectives
@@ -261,8 +274,8 @@ def train_binary(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig,
     signs = [int(label) for label in y]
     if len(set(signs)) < 2:
         raise DataError("training data contains a single class; both classes are required")
-    dim, idxs, vals = _prepare(X)
-    w, objectives = _solve_hinge(dim, idxs, vals, signs, cfg)
+    dim, idxs, vals, flat = _prepare(X)
+    w, objectives = _solve_hinge(dim, idxs, vals, flat, signs, cfg)
     return LinearModel(weights=w[:dim].copy(), bias=float(w[dim]), c_param=cfg.c_param,
                        label_positive=label_positive, label_negative=label_negative,
                        epoch_objectives=objectives)
@@ -340,11 +353,11 @@ def train_traits(X: Sequence[SparseVector], targets, cfg: TrainConfig) -> TraitR
     rows = _target_rows(targets)
     if len(X) != len(rows):
         raise DataError(f"{len(X)} vectors but {len(rows)} target rows")
-    dim, idxs, vals = _prepare(X)
+    dim, idxs, vals, flat = _prepare(X)
     weights, biases, histories = {}, {}, {}
     for name in TRAIT_NAMES:
         t = [row[name] for row in rows]
-        w, objectives = _solve_eps(dim, idxs, vals, t, cfg)
+        w, objectives = _solve_eps(dim, idxs, vals, flat, t, cfg)
         weights[name] = w[:dim].copy()
         biases[name] = float(w[dim])
         histories[name] = objectives
@@ -386,7 +399,10 @@ def _encode_label(label) -> str:
 
 def _decode_label(token: str):
     if token.startswith("i:"):
-        return int(token[2:])
+        try:
+            return int(token[2:])
+        except ValueError:
+            raise DataError(f"malformed integer class label {token!r}") from None
     if token.startswith("s:"):
         return token[2:]
     raise DataError(f"malformed class label token {token!r}")
@@ -400,7 +416,23 @@ def _parse_weights(text: str, dim: int) -> np.ndarray:
     parts = text.split() if text else []
     if len(parts) != dim:
         raise DataError(f"expected {dim} weights, got {len(parts)}")
-    return np.array([float(p) for p in parts], dtype=np.float64)
+    try:
+        weights = np.array([float(p) for p in parts], dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"malformed weight: {exc}") from None
+    if not np.all(np.isfinite(weights)):
+        raise DataError("non-finite weight")
+    return weights
+
+
+def _parse_finite(token: str, what: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise DataError(f"malformed {what} {token!r}") from None
+    if not np.isfinite(value):
+        raise DataError(f"non-finite {what} {token!r}")
+    return value
 
 
 def save_model(bundle: ModelBundle, path) -> None:
@@ -446,12 +478,15 @@ class _LineReader:
         self.path = path
         self.pos = 0
 
-    def take(self, tag: str) -> list[str]:
+    def take(self, tag: str, count: int | None = None) -> list[str]:
+        """Fields after `tag` on the next line; exactly `count` if given."""
         if self.pos >= len(self.lines):
             raise DataError(f"{self.path}: truncated model file, expected a {tag!r} line")
         parts = self.lines[self.pos].split("\t")
         if parts[0] != tag:
             raise DataError(f"{self.path}: expected a {tag!r} line, found {parts[0]!r}")
+        if count is not None and len(parts) - 1 != count:
+            raise DataError(f"{self.path}: {tag!r} line needs {count} field(s), found {len(parts) - 1}")
         self.pos += 1
         return parts[1:]
 
@@ -471,29 +506,35 @@ def load_model(path, expected_vocab_hash: str | None = None) -> ModelBundle:
     kind = head[1]
     reader = _LineReader(lines, path)
     reader.pos = 1
-    (vocab_hash,) = reader.take("vocab_hash")
-    char_scale, pos_scale = reader.take("policy")
+    (vocab_hash,) = reader.take("vocab_hash", 1)
+    char_scale, pos_scale = reader.take("policy", 2)
     if char_scale not in (LINEAR, LOG2) or pos_scale not in (LINEAR, LOG2):
         raise DataError(f"{path}: unknown scaling in policy line")
     policy = ScalingPolicy(char_scale, pos_scale)
-    cfg_fields = dict(part.split("=", 1) for part in reader.take("config"))
     try:
+        cfg_fields = dict(part.split("=", 1) for part in reader.take("config"))
         cfg = TrainConfig(c_param=float(cfg_fields["c_param"]), epochs=int(cfg_fields["epochs"]),
                           tolerance=float(cfg_fields["tolerance"]), seed=int(cfg_fields["seed"]),
                           epsilon=float(cfg_fields["epsilon"]))
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed config line") from exc
-    (dim_token,) = reader.take("dim")
-    dim = int(dim_token)
+    (dim_token,) = reader.take("dim", 1)
+    try:
+        dim = int(dim_token)
+    except ValueError:
+        raise DataError(f"{path}: malformed dimension {dim_token!r}") from None
 
     def read_vector():
-        (bias_token,) = reader.take("bias")
+        (bias_token,) = reader.take("bias", 1)
         weight_parts = reader.take("weights")
         text = weight_parts[0] if weight_parts else ""
-        return float(bias_token), _parse_weights(text, dim)
+        try:
+            return _parse_finite(bias_token, "bias"), _parse_weights(text, dim)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
     if kind == "binary":
-        pos_token, neg_token = reader.take("labels")
+        pos_token, neg_token = reader.take("labels", 2)
         bias, weights = read_vector()
         model = LinearModel(weights=weights, bias=bias, c_param=cfg.c_param,
                             label_positive=_decode_label(pos_token),

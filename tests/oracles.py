@@ -7,9 +7,13 @@ between the two is evidence rather than tautology.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 
 import numpy as np
+
+from styloprof.features import LINEAR, FeatureKey
 
 PAD = "_"
 
@@ -42,6 +46,45 @@ def pos_ngram_reference(stream: list, n_min: int, n_max: int) -> dict:
             key = ("pos", tuple(stream[i : i + n]))
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# FeatureKey-keyed feature layer: every gram a FeatureKey(channel, tuple),
+# one index over all keys.  The library keys grams by plain strings and
+# tuples per channel instead; these pin that it builds the same
+# vocabulary, file bytes and vectors, entry order included.
+
+def featurekey_sample_counts(documents) -> tuple[Counter, Counter]:
+    """Per-document reference counts, FeatureKey-keyed, pooled one
+    document after another."""
+    chars: Counter = Counter()
+    tags: Counter = Counter()
+    for doc in documents:
+        chars.update({FeatureKey(*key): n for key, n in ngram_reference(doc.text, 1, 3).items()})
+        tags.update({FeatureKey(*key): n
+                     for key, n in pos_ngram_reference(list(doc.pos_tags), 1, 3).items()})
+    return chars, tags
+
+
+def featurekey_vocabulary_keys(samples, min_df: int) -> list:
+    df: Counter = Counter()
+    for char_counts, pos_counts in samples:
+        seen = set(char_counts)
+        seen.update(pos_counts)
+        df.update(seen)
+    return sorted(key for key, d in df.items() if d >= min_df)
+
+
+def featurekey_vectorize(char_counts, pos_counts, keys, policy) -> dict:
+    index = {key: col for col, key in enumerate(keys)}
+    entries: dict = {}
+    for counts, scale in ((char_counts, policy.char_scale), (pos_counts, policy.pos_scale)):
+        for key, count in counts.items():
+            col = index.get(key)
+            if col is None or count == 0:
+                continue
+            entries[col] = float(count) if scale == LINEAR else math.log2(1.0 + count)
+    return entries
 
 
 def random_hinge_instances(count: int, seed: int, dim: int = 3, max_points: int = 20):
@@ -99,35 +142,42 @@ def subgradient_hinge_oracle(instances, c_param: float, steps: int = 10**6) -> n
     scaled = c_param * signed
     radius = np.sqrt(2.0 * c_param * max_n)
 
-    v = np.zeros((n_inst, dim_aug))
+    # batched matmuls over the instance axis b; vectors carry a unit axis
+    # so each product is (b, n, d) @ (b, d, 1) or (b, 1, n) @ (b, n, d)
+    v = np.zeros((n_inst, dim_aug, 1))
+    v_row = v.reshape(n_inst, 1, dim_aug)
     sq_norm = np.zeros(n_inst)
     best = np.full(n_inst, np.inf)
+    margins = np.empty((n_inst, max_n, 1))
     slack = np.empty((n_inst, max_n))
-    active = np.empty((n_inst, max_n), dtype=bool)
+    active = np.empty((n_inst, 1, max_n))
+    loss = np.empty((n_inst, 1, 1))
+    pull = np.empty((n_inst, 1, dim_aug))
     value = np.empty(n_inst)
     scale = np.empty(n_inst)
     norm = np.empty(n_inst)
+    sq_out = sq_norm.reshape(n_inst, 1, 1)
 
     for step in range(steps):
-        margins = np.einsum("bnd,bd->bn", signed, v)
-        np.subtract(1.0, margins, out=slack)
-        np.greater(slack, 0.0, out=active)
+        np.matmul(signed, v, out=margins)
+        np.subtract(1.0, margins[:, :, 0], out=slack)
+        np.greater(slack, 0.0, out=active[:, 0, :])
         if step % 4 == 0 or step > steps - 2000:
-            loss = np.einsum("bn,bn->b", slack, active)
-            np.multiply(loss, c_param, out=value)
+            np.matmul(active, slack[:, :, None], out=loss)
+            np.multiply(loss[:, 0, 0], c_param, out=value)
             value += 0.5 * sq_norm
             np.minimum(best, value, out=best)
-        pull = np.einsum("bn,bnd->bd", active, scaled)
+        np.matmul(active, scaled, out=pull)
         eta = 1.0 / (step + 1.0)
         v *= 1.0 - eta
         pull *= eta
-        v += pull
-        np.einsum("bd,bd->b", v, v, out=sq_norm)
+        v_row += pull
+        np.matmul(v_row, v, out=sq_out)
         np.sqrt(sq_norm, out=norm)
         np.maximum(norm, 1e-30, out=norm)
         np.divide(radius, norm, out=scale)
         np.minimum(scale, 1.0, out=scale)
-        v *= scale[:, None]
+        v *= scale[:, None, None]
         scale *= scale
         sq_norm *= scale
 

@@ -334,3 +334,64 @@ class TestRunCommand:
                      "--output", str(tmp_path / "result.txt")])
         assert code == 4
         assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+def _replace_line(path, tag, new_line):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    index = next(i for i, line in enumerate(lines) if line.split("\t")[0] == tag)
+    lines[index] = new_line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _bad_vocab_column(tmp_path):
+    _replace_line(tmp_path / "m.vocab", "char", "char\ta\tX")
+
+
+def _joined_char_units(tmp_path):
+    _replace_line(tmp_path / "m.vocab", "char", "char\ta␟bc\t0")
+
+
+def _bad_dim(tmp_path):
+    _replace_line(tmp_path / "m.model", "dim", "dim\tabc")
+
+
+def _bad_config(tmp_path):
+    _replace_line(tmp_path / "m.model", "config", "config\tgarbage")
+
+
+def _nan_bias(tmp_path):
+    _replace_line(tmp_path / "m.model", "bias", "bias\tnan")
+
+
+def _inf_weight(tmp_path):
+    path = tmp_path / "m.model"
+    weights = next(line for line in path.read_text(encoding="utf-8").splitlines()
+                   if line.startswith("weights\t")).split("\t")[1].split()
+    _replace_line(path, "weights", "weights\t" + " ".join(["inf"] + weights[1:]))
+
+
+class TestPredictLoaderErrors:
+    """Malformed vocabulary and model files exit 3 as data errors."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_bad_vocab_column, "is not an integer"),
+        (_joined_char_units, "not one character"),
+        (_bad_dim, "malformed dimension"),
+        (_bad_config, "malformed config line"),
+        (_nan_bias, "non-finite bias"),
+        (_inf_weight, "non-finite weight"),
+    ], ids=["vocab-column", "vocab-char-unit", "model-dim", "model-config", "nan-bias", "inf-weight"])
+    def test_corrupt_file_exits_3(self, tmp_path, capsys, corrupt, message):
+        train_gender_model(tmp_path)
+        corrupt(tmp_path)
+        capsys.readouterr()
+        code = main(["predict", "--model", str(tmp_path / "m.model"),
+                     "--vocab", str(tmp_path / "m.vocab"),
+                     "--corpus-format", "FlatCsv",
+                     "--corpus-path", str(tmp_path / "train.csv"),
+                     "--language", "es",
+                     "--output", str(tmp_path / "pred.tsv")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and message in err
+        assert not (tmp_path / "pred.tsv").exists()

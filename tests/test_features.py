@@ -24,7 +24,11 @@ from styloprof.features import (
     vectorize,
 )
 
-from oracles import ngram_reference, pos_ngram_reference
+from styloprof.corpus import Document, LabelSet, Sample
+from styloprof.experiment import extract_counts, sample_counts
+
+from oracles import (featurekey_sample_counts, featurekey_vectorize,
+                     featurekey_vocabulary_keys, ngram_reference, pos_ngram_reference)
 
 # the worked single-word example, frozen from the documented convention
 SELF_DEFENSE_UNIGRAMS = list("self-defense")
@@ -40,23 +44,14 @@ EXAMPLE_STREAM = [
 ]
 
 
-def as_counter(grams, channel):
-    counts = Counter()
-    for gram in grams:
-        counts[FeatureKey(channel, tuple(gram) if channel == CHAR else gram)] += 1
-    return counts
-
-
 class TestCharNgrams:
     def test_self_defense_multiset(self):
-        expected = Counter()
-        for g in SELF_DEFENSE_UNIGRAMS + SELF_DEFENSE_BIGRAMS + SELF_DEFENSE_TRIGRAMS:
-            expected[FeatureKey(CHAR, tuple(g))] += 1
+        expected = Counter(SELF_DEFENSE_UNIGRAMS + SELF_DEFENSE_BIGRAMS + SELF_DEFENSE_TRIGRAMS)
         assert char_ngrams("self-defense", 1, 3) == expected
 
     def test_self_defense_counts_per_order(self):
         grams = char_ngrams("self-defense", 1, 3)
-        by_order = Counter(len(key.gram) for key in grams.elements())
+        by_order = Counter(len(gram) for gram in grams.elements())
         assert by_order == {1: 12, 2: 13, 3: 12}
 
     def test_empty_text(self):
@@ -67,23 +62,15 @@ class TestCharNgrams:
 
     def test_single_char_token(self):
         grams = char_ngrams("a", 1, 3)
-        expected = Counter(
-            {
-                FeatureKey(CHAR, ("a",)): 1,
-                FeatureKey(CHAR, ("_", "a")): 1,
-                FeatureKey(CHAR, ("a", "_")): 1,
-                FeatureKey(CHAR, ("_", "a", "_")): 1,
-            }
-        )
-        assert grams == expected
+        assert grams == Counter({"a": 1, "_a": 1, "a_": 1, "_a_": 1})
 
     def test_tokens_padded_independently(self):
         # inter-word space never appears inside a gram
         grams = char_ngrams("ab cd", 2, 2)
-        assert FeatureKey(CHAR, ("b", " ")) not in grams
-        assert FeatureKey(CHAR, ("b", "c")) not in grams
-        assert grams[FeatureKey(CHAR, ("a", "b"))] == 1
-        assert grams[FeatureKey(CHAR, ("_", "c"))] == 1
+        assert "b " not in grams
+        assert "bc" not in grams
+        assert grams["ab"] == 1
+        assert grams["_c"] == 1
 
     def test_order_bounds_validated(self):
         for bad in [(0, 3), (1, 4), (2, 1), (-1, 1)]:
@@ -95,7 +82,7 @@ class TestCharNgrams:
     def test_matches_brute_force_reference(self, text):
         got = char_ngrams(text, 1, 3)
         want = ngram_reference(text, 1, 3)
-        assert {(k.channel, k.gram): v for k, v in got.items()} == want
+        assert {(CHAR, tuple(gram)): v for gram, v in got.items()} == want
 
     @given(st.text(max_size=40), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=300)
@@ -103,7 +90,7 @@ class TestCharNgrams:
         lo, hi = min(a, b), max(a, b)
         got = char_ngrams(text, lo, hi)
         want = ngram_reference(text, lo, hi)
-        assert {(k.channel, k.gram): v for k, v in got.items()} == want
+        assert {(CHAR, tuple(gram)): v for gram, v in got.items()} == want
 
     @given(st.text(alphabet="abcdefg-xyz", min_size=1, max_size=12))
     @settings(max_examples=300)
@@ -119,16 +106,16 @@ class TestPosNgrams:
         grams = pos_ngrams(EXAMPLE_STREAM, 1, 3)
         assert sum(grams.values()) == 24
         want = pos_ngram_reference(EXAMPLE_STREAM, 1, 3)
-        assert {(k.channel, k.gram): v for k, v in grams.items()} == want
+        assert {(POS, gram): v for gram, v in grams.items()} == want
         # spot checks straight from the printed list
-        assert grams[FeatureKey(POS, ("REF@USERNAME", "REF@USERNAME"))] == 1
-        assert grams[FeatureKey(POS, ("N", "F"))] == 2
-        assert grams[FeatureKey(POS, ("F", "N", "F"))] == 1
+        assert grams[("REF@USERNAME", "REF@USERNAME")] == 1
+        assert grams[("N", "F")] == 2
+        assert grams[("F", "N", "F")] == 1
 
     def test_no_padding(self):
         grams = pos_ngrams(["N", "V"], 1, 3)
         assert sum(grams.values()) == 3  # N, V, NV; no _N or V_ and no trigram
-        assert all("_" not in key.gram for key in grams)
+        assert all("_" not in gram for gram in grams)
 
     def test_empty_stream(self):
         assert pos_ngrams([], 1, 3) == Counter()
@@ -138,7 +125,7 @@ class TestPosNgrams:
     def test_matches_reference(self, stream):
         got = pos_ngrams(stream, 1, 3)
         want = pos_ngram_reference(stream, 1, 3)
-        assert {(k.channel, k.gram): v for k, v in got.items()} == want
+        assert {(POS, gram): v for gram, v in got.items()} == want
 
     @given(st.lists(st.sampled_from("NVAR"), min_size=1, max_size=25))
     @settings(max_examples=200)
@@ -162,22 +149,22 @@ class TestScalingPolicy:
     def test_log2_scaling_exact(self):
         key = FeatureKey(POS, ("N",))
         vocab = Vocabulary(keys=[key], min_df=1)
-        vec = vectorize(Counter(), Counter({key: 3}), vocab, ScalingPolicy(LINEAR, LOG2))
+        vec = vectorize(Counter(), Counter({("N",): 3}), vocab, ScalingPolicy(LINEAR, LOG2))
         assert vec.entries[0] == 2.0  # log2(1 + 3)
-        vec = vectorize(Counter(), Counter({key: 1}), vocab, ScalingPolicy(LINEAR, LOG2))
+        vec = vectorize(Counter(), Counter({("N",): 1}), vocab, ScalingPolicy(LINEAR, LOG2))
         assert vec.entries[0] == 1.0
 
     def test_linear_scaling_identity(self):
         key = FeatureKey(CHAR, ("a",))
         vocab = Vocabulary(keys=[key], min_df=1)
-        vec = vectorize(Counter({key: 7}), Counter(), vocab, ScalingPolicy(LINEAR, LINEAR))
+        vec = vectorize(Counter({"a": 7}), Counter(), vocab, ScalingPolicy(LINEAR, LINEAR))
         assert vec.entries[0] == 7.0
 
     def test_channels_scaled_independently(self):
         ck = FeatureKey(CHAR, ("a",))
         pk = FeatureKey(POS, ("N",))
         vocab = Vocabulary(keys=[ck, pk], min_df=1)
-        vec = vectorize(Counter({ck: 3}), Counter({pk: 3}), vocab, ScalingPolicy(LINEAR, LOG2))
+        vec = vectorize(Counter({"a": 3}), Counter({("N",): 3}), vocab, ScalingPolicy(LINEAR, LOG2))
         assert vec.entries[vocab.column(ck)] == 3.0
         assert vec.entries[vocab.column(pk)] == 2.0
 
@@ -195,8 +182,7 @@ class TestVectorize:
 
     def test_oov_grams_dropped(self):
         vocab = self.make_vocab()
-        oov = Counter({FeatureKey(CHAR, ("z",)): 5})
-        vec = vectorize(oov, Counter(), vocab, ScalingPolicy(LINEAR, LINEAR))
+        vec = vectorize(Counter({"z": 5}), Counter({("V",): 5}), vocab, ScalingPolicy(LINEAR, LINEAR))
         assert vec.entries == {}
 
     def test_empty_vocabulary_rejected(self):
@@ -205,10 +191,7 @@ class TestVectorize:
             vectorize(Counter(), Counter(), vocab, ScalingPolicy(LINEAR, LINEAR))
 
     @given(
-        st.dictionaries(
-            st.sampled_from([FeatureKey(CHAR, ("a",)), FeatureKey(CHAR, ("b",))]),
-            st.integers(1, 50),
-        ),
+        st.dictionaries(st.sampled_from(["a", "b"]), st.integers(1, 50)),
         st.sampled_from([LINEAR, LOG2]),
     )
     @settings(max_examples=200)
@@ -220,7 +203,7 @@ class TestVectorize:
             bumped = Counter(counts)
             bumped[key] += 1
             after = vectorize(bumped, Counter(), vocab, policy)
-            col = vocab.column(key)
+            col = vocab.column(FeatureKey(CHAR, tuple(key)))
             assert after.entries[col] >= base.entries[col]
 
     def test_vocab_lookup_is_a_bijection(self):
@@ -280,7 +263,8 @@ class TestBuildVocabulary:
     def test_min_df_one_keeps_everything(self):
         counts = self.sample("xy", ["N"])
         vocab = build_vocabulary([counts], min_df=1)
-        assert set(vocab.keys) == set(counts[0]) | set(counts[1])
+        assert set(vocab.keys) == ({FeatureKey(CHAR, tuple(gram)) for gram in counts[0]}
+                                   | {FeatureKey(POS, gram) for gram in counts[1]})
 
 
 NASTY_KEYS = [
@@ -353,11 +337,14 @@ class TestVocabularySerialization:
 
     @given(
         raw_keys=st.lists(
-            st.tuples(
-                st.sampled_from([CHAR, POS]),
-                st.lists(st.text(alphabet="ab\\\t\n␟U", min_size=1, max_size=3),
-                         min_size=1, max_size=3).map(tuple),
-            ),
+            st.one_of(*(
+                st.tuples(
+                    st.just(channel),
+                    st.lists(st.text(alphabet="ab\\\t\n␟U", min_size=1, max_size=unit_size),
+                             min_size=1, max_size=3).map(tuple),
+                )
+                for channel, unit_size in ((CHAR, 1), (POS, 3))
+            )),
             min_size=1,
             max_size=8,
         )
@@ -369,3 +356,51 @@ class TestVocabularySerialization:
         path = tmp_path_factory.mktemp("vocab") / "v.tsv"
         vocab.save(path)
         assert Vocabulary.load(path).keys == keys
+
+
+corpus_docs = st.lists(
+    st.tuples(st.text(alphabet="ab_- \t\n\\␟é😀", max_size=24),
+              st.lists(st.sampled_from(["N", "V", "F", "REF@USERNAME", "a\\␟"]), max_size=8)),
+    min_size=1, max_size=3,
+)
+
+
+class TestPlainKeysMatchFeatureKeyReference:
+    """Plain per-channel keys give what FeatureKey keys everywhere gave:
+    the same vocabulary keys, file bytes and hash, and the same vectors,
+    entry order included (margins sum in that order)."""
+
+    @given(corpus=st.lists(corpus_docs, min_size=1, max_size=6), min_df=st.integers(1, 3),
+           char_scale=st.sampled_from([LINEAR, LOG2]), pos_scale=st.sampled_from([LINEAR, LOG2]))
+    @settings(max_examples=150, deadline=None)
+    def test_vocabulary_and_vectors(self, corpus, min_df, char_scale, pos_scale, tmp_path_factory):
+        samples = [
+            Sample(id=f"s{i}", labels=LabelSet(gender="Female"), documents=[
+                Document(id=f"s{i}/{j}", text=text, pos_tags=tuple(tags))
+                for j, (text, tags) in enumerate(docs)])
+            for i, docs in enumerate(corpus)
+        ]
+        counts = [sample_counts(s) for s in samples]
+        ref_counts = [featurekey_sample_counts(s.documents) for s in samples]
+        for sample, ref in zip(samples, ref_counts):
+            chars, tags = extract_counts(sample)
+            assert list(chars.items()) == list(ref[0].items())
+            assert list(tags.items()) == list(ref[1].items())
+
+        vocab = build_vocabulary(counts, min_df=min_df)
+        ref_keys = featurekey_vocabulary_keys(ref_counts, min_df)
+        assert vocab.keys == ref_keys
+        reference = Vocabulary(keys=ref_keys, min_df=min_df)
+        assert vocab.content_hash() == reference.content_hash()
+        folder = tmp_path_factory.mktemp("vocab")
+        vocab.save(folder / "new.tsv")
+        reference.save(folder / "ref.tsv")
+        assert (folder / "new.tsv").read_bytes() == (folder / "ref.tsv").read_bytes()
+        if not ref_keys:
+            return
+        loaded = Vocabulary.load(folder / "new.tsv")
+        policy = ScalingPolicy(char_scale, pos_scale)
+        for (chars, tags), (ref_chars, ref_tags) in zip(counts, ref_counts):
+            want = list(featurekey_vectorize(ref_chars, ref_tags, ref_keys, policy).items())
+            assert list(vectorize(chars, tags, vocab, policy).entries.items()) == want
+            assert list(vectorize(chars, tags, loaded, policy).entries.items()) == want

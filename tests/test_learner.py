@@ -483,3 +483,36 @@ class TestModelFiles:
         w = np.array([0.0])
         assert epsilon_objective(w, 0.1, [SparseVector({}, 1)], [0.2], 1.0, 0.05) == \
             pytest.approx(0.5 * 0.01 + 0.05, abs=1e-12)
+
+
+class TestEpochObjectives:
+    """The per-epoch objectives, computed over the flat layout, agree with
+    the per-sample loops of `hinge_objective` and `epsilon_objective`."""
+
+    def rows(self, rng, n, dim):
+        # every third sample empty, so rows without entries are covered
+        return [SparseVector({} if i % 3 == 0 else
+                             {j: rng.uniform(-2, 2) for j in range(dim) if rng.random() < 0.6}, dim)
+                for i in range(n)]
+
+    def test_hinge(self):
+        rng = random.Random(21)
+        for trial in range(20):
+            X = self.rows(rng, rng.randint(4, 30), 5)
+            y = [1 if i % 2 else -1 for i in range(len(X))]
+            cfg = TrainConfig(c_param=rng.uniform(0.1, 5), epochs=rng.randint(1, 30), seed=trial)
+            model = train_binary(X, y, cfg)
+            want = hinge_objective(model.weights, model.bias, X, y, cfg.c_param)
+            assert model.epoch_objectives[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_epsilon(self):
+        rng = random.Random(22)
+        for trial in range(10):
+            X = self.rows(rng, rng.randint(4, 30), 5)
+            targets = [{name: rng.uniform(-0.5, 0.5) for name in "ENACO"} for _ in X]
+            cfg = TrainConfig(c_param=rng.uniform(0.1, 5), epochs=rng.randint(1, 30), seed=trial)
+            reg = train_traits(X, targets, cfg)
+            for name in "ENACO":
+                want = epsilon_objective(reg.weights[name], reg.biases[name], X,
+                                         [t[name] for t in targets], cfg.c_param, cfg.epsilon)
+                assert reg.epoch_objectives[name][-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
