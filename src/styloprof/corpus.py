@@ -156,7 +156,7 @@ def render_age_band(band: str) -> str:
 # ---------------------------------------------------------------------------
 # loaders and writers
 
-def _truth_path(dirpath: str) -> str:
+def truth_path(dirpath: str) -> str:
     for name in ("truth.txt", "truth.txt.gz"):
         candidate = os.path.join(dirpath, name)
         if os.path.exists(candidate):
@@ -164,7 +164,7 @@ def _truth_path(dirpath: str) -> str:
     raise DataError(f"{dirpath}: missing truth.txt")
 
 
-def _author_path(dirpath: str, author_id: str) -> str:
+def author_path(dirpath: str, author_id: str) -> str:
     for name in (author_id + ".txt", author_id + ".txt.gz"):
         candidate = os.path.join(dirpath, name)
         if os.path.exists(candidate):
@@ -202,7 +202,7 @@ def load_pan_truth_dir(spec: CorpusSpec) -> list[Sample]:
     """One Sample per truth.txt line, documents in author-file order."""
     if spec.format != "PanTruthDir":
         raise ConfigError(f"load_pan_truth_dir called with format {spec.format!r}")
-    truth = _truth_path(spec.path)
+    truth = truth_path(spec.path)
     samples = []
     with open_text(truth) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -210,7 +210,7 @@ def load_pan_truth_dir(spec: CorpusSpec) -> list[Sample]:
             if not line:
                 continue
             author_id, labels = _parse_truth_line(line, f"{truth}:{lineno}")
-            doc_path = _author_path(spec.path, author_id)
+            doc_path = author_path(spec.path, author_id)
             with open_text(doc_path) as doc_fh:
                 texts = doc_fh.read().splitlines()
             if not texts:

@@ -25,9 +25,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import (CorpusSpec, Document, LabeledDocument, Sample,
+from .corpus import (CorpusSpec, Document, LabeledDocument, Sample, author_path,
                      group_into_samples, load_flat_csv, load_pan_truth_dir,
-                     open_text, stratified_split, TRAIT_NAMES)
+                     open_text, stratified_split, truth_path, TRAIT_NAMES)
 from .errors import ConfigError, DataError
 from .features import (CHAR, LINEAR, LOG2, POS, FeatureKey, ScalingPolicy, Vocabulary,
                        build_vocabulary, char_ngrams, default_policy, pos_ngrams, vectorize)
@@ -285,45 +285,40 @@ def _hash_file(h, path):
             h.update(chunk)
 
 
-def _corpus_fingerprint(spec: CorpusSpec) -> str:
+def _corpus_fingerprint(paths) -> str:
+    """SHA-256 over the files a corpus was loaded from, in basename order,
+    each as its basename, a NUL byte and its bytes."""
     h = hashlib.sha256()
-    paths = []
-    if spec.format == "FlatCsv":
-        paths.append(spec.path)
-        sidecar = _sidecar_path(spec.path)
-        if sidecar:
-            paths.append(sidecar)
-    else:
-        for name in sorted(os.listdir(spec.path)):
-            if name == "truth.txt" or name.endswith((".txt", ".txt.gz", ".pos", ".pos.gz")):
-                paths.append(os.path.join(spec.path, name))
-    for path in paths:
+    for path in sorted(set(paths), key=os.path.basename):
         h.update(os.path.basename(path).encode("utf-8"))
         h.update(b"\x00")
         _hash_file(h, path)
     return h.hexdigest()
 
 
+def _sidecar_streams(sidecar: str, n_docs: int, owner: str, rules) -> list[list[str]]:
+    """One relabeled POS stream per block of a sidecar file; the block
+    count must match the `n_docs` documents that `owner` names."""
+    from .pos import ingest_tagged_file
+
+    blocks = ingest_tagged_file(sidecar)
+    if len(blocks) != n_docs:
+        raise DataError(f"{sidecar}: {len(blocks)} tagged documents but {owner}")
+    return [relabel([TaggedToken(normalize(tok.surface, rules).text, tok.fine_tag) for tok in block])
+            for block in blocks]
+
+
 def prepare_corpus(spec: CorpusSpec, rules, lexicon, warnings: list[str]) -> PreparedCorpus:
     """Load a corpus and attach normalized text and POS streams to every
     document.  Pre-tagged sidecar files win over the fallback tagger."""
-    from .pos import ingest_tagged_file
-
-    fingerprint = None
     if spec.format == "FlatCsv":
         if not os.path.exists(spec.path):
             raise DataError(f"corpus file not found: {spec.path}")
-        fingerprint = _corpus_fingerprint(spec)
-        docs = load_flat_csv(spec)
         sidecar = _sidecar_path(spec.path)
+        fingerprint = _corpus_fingerprint([spec.path] + ([sidecar] if sidecar else []))
+        docs = load_flat_csv(spec)
         if sidecar:
-            blocks = ingest_tagged_file(sidecar)
-            if len(blocks) != len(docs):
-                raise DataError(f"{sidecar}: {len(blocks)} tagged documents but the corpus has {len(docs)} rows")
-            streams = [
-                relabel([TaggedToken(normalize(tok.surface, rules).text, tok.fine_tag) for tok in block])
-                for block in blocks
-            ]
+            streams = _sidecar_streams(sidecar, len(docs), f"the corpus has {len(docs)} rows", rules)
             pos_source = "sidecar"
         else:
             streams = [None] * len(docs)
@@ -338,21 +333,17 @@ def prepare_corpus(spec: CorpusSpec, rules, lexicon, warnings: list[str]) -> Pre
 
     if not os.path.isdir(spec.path):
         raise DataError(f"corpus directory not found: {spec.path}")
-    fingerprint = _corpus_fingerprint(spec)
     samples = load_pan_truth_dir(spec)
+    loaded = [truth_path(spec.path)]
     tagged = 0
     processed_samples = []
     for sample in samples:
+        loaded.append(author_path(spec.path, sample.id))
         sidecar = _sidecar_path(os.path.join(spec.path, sample.id))
         if sidecar:
-            blocks = ingest_tagged_file(sidecar)
-            if len(blocks) != len(sample.documents):
-                raise DataError(f"{sidecar}: {len(blocks)} tagged documents but author "
-                                f"{sample.id!r} has {len(sample.documents)}")
-            streams = [
-                relabel([TaggedToken(normalize(tok.surface, rules).text, tok.fine_tag) for tok in block])
-                for block in blocks
-            ]
+            loaded.append(sidecar)
+            n_docs = len(sample.documents)
+            streams = _sidecar_streams(sidecar, n_docs, f"author {sample.id!r} has {n_docs}", rules)
             tagged += 1
         else:
             streams = [None] * len(sample.documents)
@@ -368,7 +359,7 @@ def prepare_corpus(spec: CorpusSpec, rules, lexicon, warnings: list[str]) -> Pre
         pos_source = f"mixed({tagged}/{len(samples)} sidecars)"
         warnings.append(f"POS sidecars found for only {tagged} of {len(samples)} authors in {spec.path}")
     return PreparedCorpus(samples=processed_samples, docs=None, grouping_k=None,
-                          pos_source=pos_source, fingerprint=fingerprint)
+                          pos_source=pos_source, fingerprint=_corpus_fingerprint(loaded))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +398,7 @@ class RunOutcome:
     trait_report: TraitReport | None = None
     predictions: list = field(default_factory=list)
     bundle: ModelBundle | None = None
+    warnings: list[str] = field(default_factory=list)
 
 
 def _first_appearance(values) -> list:
@@ -414,7 +406,8 @@ def _first_appearance(values) -> list:
 
 
 def _train_task(task: str, x_train, train_samples: list[Sample], tc: TrainConfig,
-                policy: ScalingPolicy, vocab_hash: str) -> ModelBundle:
+                policy: ScalingPolicy, vocab_hash: str, warnings: list[str]) -> ModelBundle:
+    """Fit the task's model; warns when submodels stopped at the epoch cap."""
     if task == "gender":
         labels = [_require(s.labels.gender, s, "gender") for s in train_samples]
         classes = _first_appearance(labels)
@@ -422,14 +415,20 @@ def _train_task(task: str, x_train, train_samples: list[Sample], tc: TrainConfig
             raise DataError(f"gender task needs exactly two classes in training data, got {classes}")
         y = [1 if lab == classes[0] else -1 for lab in labels]
         model = train_binary(x_train, y, tc, label_positive=classes[0], label_negative=classes[1])
-        return ModelBundle(kind="binary", vocab_hash=vocab_hash, policy=policy, config=tc, model=model)
-    if task == "age":
+        kind, converged = "binary", [model.converged]
+    elif task == "age":
         labels = [_require(s.labels.age_band, s, "age band") for s in train_samples]
         model = train_ovr(x_train, labels, tc)
-        return ModelBundle(kind="ovr", vocab_hash=vocab_hash, policy=policy, config=tc, model=model)
-    targets = [_require(s.labels.traits, s, "traits") for s in train_samples]
-    model = train_traits(x_train, targets, tc)
-    return ModelBundle(kind="traits", vocab_hash=vocab_hash, policy=policy, config=tc, model=model)
+        kind, converged = "ovr", [m.converged for m in model.models]
+    else:
+        targets = [_require(s.labels.traits, s, "traits") for s in train_samples]
+        model = train_traits(x_train, targets, tc)
+        kind, converged = "traits", list(model.converged.values())
+    capped = converged.count(False)
+    if capped:
+        warnings.append(f"{capped} of {len(converged)} submodels stopped at the epoch cap "
+                        f"({tc.epochs} epochs) before reaching tolerance {tc.tolerance!r}")
+    return ModelBundle(kind=kind, vocab_hash=vocab_hash, policy=policy, config=tc, model=model)
 
 
 def predict_one(bundle: ModelBundle, x):
@@ -477,7 +476,8 @@ def run_single(task: str, train_samples: list[Sample], test_samples: list[Sample
     x_test = [vectorize(c, p, vocab, policy) for c, p in test_counts]
     outcome = RunOutcome(vocab_hash=vocab.content_hash(),
                          n_train=len(train_samples), n_test=len(test_samples))
-    outcome.bundle = _train_task(task, x_train, train_samples, tc, policy, outcome.vocab_hash)
+    outcome.bundle = _train_task(task, x_train, train_samples, tc, policy, outcome.vocab_hash,
+                                 outcome.warnings)
 
     if task == "traits":
         pred_by_trait = {name: [] for name in TRAIT_NAMES}
@@ -520,7 +520,8 @@ def train_full(cfg: ExperimentConfig):
     vocab = build_vocabulary(counts, min_df=cfg.min_df)
     policy = cfg.resolved_scaling()
     x_train = [vectorize(c, p, vocab, policy) for c, p in counts]
-    bundle = _train_task(cfg.task, x_train, samples, cfg.train_config, policy, vocab.content_hash())
+    bundle = _train_task(cfg.task, x_train, samples, cfg.train_config, policy,
+                         vocab.content_hash(), warnings)
     return vocab, bundle, len(samples), warnings
 
 
@@ -587,7 +588,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         provenance["test_pos_source"] = test_prepared.pos_source
 
     if cfg.sweep_k is not None:
-        rows, classes = _run_sweep(cfg, train_prepared, policy, timings)
+        rows, classes = _run_sweep(cfg, train_prepared, policy, timings, warnings)
         return ExperimentResult(mode="sweep", task=cfg.task, provenance=provenance,
                                 warnings=warnings, outcome=None, sweep_rows=rows,
                                 sweep_classes=classes, config_text=cfg.raw_text, timings=timings)
@@ -607,6 +608,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     t0 = time.perf_counter()
     outcome = run_single(cfg.task, train_samples, test_samples, policy, cfg.min_df, cfg.train_config)
     timings.append(("features_train_evaluate", time.perf_counter() - t0))
+    warnings.extend(outcome.warnings)
     provenance["vocab_sha256"] = outcome.vocab_hash
     provenance["n_train"] = str(outcome.n_train)
     provenance["n_test"] = str(outcome.n_test)
@@ -622,7 +624,7 @@ def as_samples(prepared: PreparedCorpus, k: int | None = None) -> list[Sample]:
 
 
 def _run_sweep(cfg: ExperimentConfig, prepared: PreparedCorpus,
-               policy: ScalingPolicy, timings) -> tuple[list[dict], list]:
+               policy: ScalingPolicy, timings, warnings: list[str]) -> tuple[list[dict], list]:
     """One independent micro-experiment per sample size; vocabulary and
     model are rebuilt from scratch for every k."""
     classes = _first_appearance(
@@ -636,6 +638,7 @@ def _run_sweep(cfg: ExperimentConfig, prepared: PreparedCorpus,
         outcome = run_single(cfg.task, train_samples, test_samples, policy,
                              cfg.min_df, cfg.train_config, report_classes=classes)
         elapsed = time.perf_counter() - t0
+        warnings.extend(f"sample size {k}: {warning}" for warning in outcome.warnings)
         row = {"k": k, "n_train": outcome.n_train, "n_test": outcome.n_test,
                "accuracy": outcome.class_report.accuracy,
                "vocab_sha256": outcome.vocab_hash, "seconds": elapsed}

@@ -1,10 +1,15 @@
 """Linear max-margin models trained by dual coordinate descent.
 
-Three model families share one solver core:
+Three model families share one solver core, `_solve`: exact one-coordinate
+steps (Hsieh et al., ICML 2008) on min 1/2 b'Qb - t'b + eps |b|_1 over
+lo <= b <= hi, the form both the hinge and the epsilon-insensitive duals
+take (Ho & Lin, JMLR 2012).  The families differ only in t, eps and the box:
 
-* binary SVM (L1 hinge loss) for gender,
-* one-vs-rest SVM for the four age bands,
-* epsilon-insensitive linear regression for the five personality traits.
+* binary SVM (L1 hinge loss) for gender: t = y, eps = 0, box [0, C] for
+  y = +1 and [-C, 0] for y = -1 (b = y alpha);
+* one-vs-rest SVM for the four age bands: one binary problem per class;
+* epsilon-insensitive linear regression for the five personality traits:
+  t = the targets, box [-C, C].
 
 The bias is handled by augmenting every vector with a constant-1
 feature, so it is regularized together with the weights; all objective
@@ -59,6 +64,8 @@ class LinearModel:
     label_positive: object
     label_negative: object
     epoch_objectives: list[float] = field(default_factory=list, repr=False)
+    # met the tolerance before the epoch cap; None when read from a file
+    converged: bool | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -78,6 +85,7 @@ class TraitRegressor:
     epsilon: float
     c_param: float
     epoch_objectives: dict[str, list[float]] = field(default_factory=dict, repr=False)
+    converged: dict[str, bool] = field(default_factory=dict, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +93,9 @@ class TraitRegressor:
 
 def _prepare(X: Sequence[SparseVector]):
     """Index/value arrays per sample, sorted by column, plus the shared
-    dimension and the same entries laid out flat for whole-set margins:
-    (rows that have entries, where each of them starts, columns, values).
+    dimension, the same entries laid out flat for whole-set margins
+    (rows that have entries, where each of them starts, columns, values)
+    and the dual diagonal Q_ii = x_i . x_i + 1 (the 1 is the bias feature).
     Rejects non-finite values and out-of-range columns."""
     if not X:
         raise DataError("empty training set")
@@ -111,7 +120,8 @@ def _prepare(X: Sequence[SparseVector]):
     lengths = np.array([ind.size for ind in idxs])
     nonempty = lengths > 0
     starts = (np.cumsum(lengths) - lengths)[nonempty]
-    return dim, idxs, vals, (nonempty, starts, np.concatenate(idxs), np.concatenate(vals))
+    qii = [float(v @ v) + 1.0 for v in vals]
+    return dim, idxs, vals, (nonempty, starts, np.concatenate(idxs), np.concatenate(vals)), qii
 
 
 def _margin(weights: np.ndarray, bias: float, x: SparseVector) -> float:
@@ -144,82 +154,34 @@ def epsilon_objective(weights: np.ndarray, bias: float, X: Sequence[SparseVector
     return reg + c_param * loss
 
 
-def _margins(w, dim, flat, n) -> np.ndarray:
-    """Margins of all n samples in one pass over the flat layout."""
-    nonempty, starts, cols, values = flat
-    margins = np.full(n, w[dim])
-    if starts.size:
-        margins[nonempty] += np.add.reduceat(values * w[cols], starts)
-    return margins
-
-
 # einsum, not `w @ w`: past 10,000 columns BLAS wakes a worker thread
 # that then spins for the rest of training
-def _primal_hinge(w, dim, flat, y: np.ndarray, c_param) -> float:
-    loss = np.maximum(0.0, 1.0 - y * _margins(w, dim, flat, y.size)).sum()
-    return 0.5 * float(np.einsum("i,i->", w, w)) + c_param * float(loss)
-
-
-def _primal_eps(w, dim, flat, t: np.ndarray, c_param, epsilon) -> float:
-    loss = np.maximum(0.0, np.abs(_margins(w, dim, flat, t.size) - t) - epsilon).sum()
-    return 0.5 * float(np.einsum("i,i->", w, w)) + c_param * float(loss)
+def _primal(w, dim, flat, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps) -> float:
+    """Primal objective of `_solve`'s problem: per sample max(hi (r - eps),
+    lo (r + eps), 0) with r = t - margin, which is C max(0, 1 - y margin)
+    for the hinge and C max(0, |margin - t| - eps) for regression."""
+    nonempty, starts, cols, values = flat
+    margins = np.full(t.size, w[dim])
+    if starts.size:
+        margins[nonempty] += np.add.reduceat(values * w[cols], starts)
+    r = t - margins
+    loss = np.maximum(np.maximum(hi * (r - eps), lo * (r + eps)), 0.0).sum()
+    return 0.5 * float(np.einsum("i,i->", w, w)) + float(loss)
 
 
 # ---------------------------------------------------------------------------
-# solvers
+# solver
 
-def _solve_hinge(dim, idxs, vals, flat, y, cfg: TrainConfig):
-    """Dual coordinate descent on the L1-hinge SVM.  Each coordinate step
-    minimizes the dual exactly; stops when no projected-gradient
-    violation reaches the tolerance over a full sweep."""
-    n = len(y)
-    c = cfg.c_param
-    y_arr = np.asarray(y, dtype=np.float64)
+def _solve(dim, idxs, vals, flat, qii, t, lo, hi, eps, cfg: TrainConfig):
+    """Dual coordinate descent (module docstring) with Q_ij = x_i . x_j + 1
+    and w = sum_i b_i x_i.  Stops once a full sweep finds no
+    projected-gradient violation reaching the tolerance, or at the epoch
+    cap.  Returns the weights, the bias, the primal objective after every
+    sweep and whether the last sweep met the tolerance."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in (t, lo, hi)]
     w = np.zeros(dim + 1)
-    alpha = np.zeros(n)
-    qii = [float(v @ v) + 1.0 for v in vals]
-    order = list(range(n))
-    rng = random.Random(cfg.seed)
-    objectives = []
-    for _ in range(cfg.epochs):
-        rng.shuffle(order)
-        worst = 0.0
-        for i in order:
-            ind, val = idxs[i], vals[i]
-            margin = float(w[ind] @ val) + w[dim]
-            g = y[i] * margin - 1.0
-            a = alpha[i]
-            if a <= 0.0:
-                pg = min(g, 0.0)
-            elif a >= c:
-                pg = max(g, 0.0)
-            else:
-                pg = g
-            if pg != 0.0:
-                worst = max(worst, abs(pg))
-                new_a = min(max(a - g / qii[i], 0.0), c)
-                delta = new_a - a
-                if delta != 0.0:
-                    alpha[i] = new_a
-                    w[ind] += (delta * y[i]) * val
-                    w[dim] += delta * y[i]
-        objectives.append(_primal_hinge(w, dim, flat, y_arr, c))
-        if worst < cfg.tolerance:
-            break
-    return w, objectives
-
-
-def _solve_eps(dim, idxs, vals, flat, t, cfg: TrainConfig):
-    """Dual coordinate descent on the epsilon-insensitive regression,
-    one box-constrained coefficient per sample in [-C, C]."""
-    n = len(t)
-    c = cfg.c_param
-    eps = cfg.epsilon
-    t_arr = np.asarray(t, dtype=np.float64)
-    w = np.zeros(dim + 1)
-    beta = np.zeros(n)
-    qii = [float(v @ v) + 1.0 for v in vals]
-    order = list(range(n))
+    beta = np.zeros(len(t))
+    order = list(range(len(t)))
     rng = random.Random(cfg.seed)
     objectives = []
     for _ in range(cfg.epochs):
@@ -230,9 +192,9 @@ def _solve_eps(dim, idxs, vals, flat, t, cfg: TrainConfig):
             g = float(w[ind] @ val) + w[dim] - t[i]
             gp, gn = g + eps, g - eps
             b = beta[i]
-            if b >= c:
+            if b >= hi[i]:
                 violation = max(gp, 0.0)
-            elif b <= -c:
+            elif b <= lo[i]:
                 violation = max(-gn, 0.0)
             elif b > 0.0:
                 violation = abs(gp)
@@ -240,13 +202,15 @@ def _solve_eps(dim, idxs, vals, flat, t, cfg: TrainConfig):
                 violation = abs(gn)
             else:
                 violation = max(-gp, gn, 0.0)
+            if violation == 0.0:  # the step below would not move b
+                continue
             worst = max(worst, violation)
             zp = b - gp / qii[i]
             zn = b - gn / qii[i]
             if zp > 0.0:
-                new_b = min(zp, c)
+                new_b = min(zp, hi[i])
             elif zn < 0.0:
-                new_b = max(zn, -c)
+                new_b = max(zn, lo[i])
             else:
                 new_b = 0.0
             delta = new_b - b
@@ -254,14 +218,26 @@ def _solve_eps(dim, idxs, vals, flat, t, cfg: TrainConfig):
                 beta[i] = new_b
                 w[ind] += delta * val
                 w[dim] += delta
-        objectives.append(_primal_eps(w, dim, flat, t_arr, c, eps))
+        objectives.append(_primal(w, dim, flat, *arrays, eps))
         if worst < cfg.tolerance:
             break
-    return w, objectives
+    return w[:dim].copy(), float(w[dim]), objectives, bool(worst < cfg.tolerance)
 
 
 # ---------------------------------------------------------------------------
 # public training and prediction
+
+def _fit_hinge(prepared, signs: list[int], cfg: TrainConfig,
+               label_positive, label_negative) -> LinearModel:
+    """L1-hinge SVM: t = y, eps = 0 and the box b = y alpha, alpha in [0, C]."""
+    c = cfg.c_param
+    lo = [0.0 if s > 0 else -c for s in signs]
+    hi = [c if s > 0 else 0.0 for s in signs]
+    weights, bias, objectives, converged = _solve(*prepared, signs, lo, hi, 0.0, cfg)
+    return LinearModel(weights=weights, bias=bias, c_param=c,
+                       label_positive=label_positive, label_negative=label_negative,
+                       epoch_objectives=objectives, converged=converged)
+
 
 def train_binary(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig,
                  label_positive=1, label_negative=-1) -> LinearModel:
@@ -274,11 +250,7 @@ def train_binary(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig,
     signs = [int(label) for label in y]
     if len(set(signs)) < 2:
         raise DataError("training data contains a single class; both classes are required")
-    dim, idxs, vals, flat = _prepare(X)
-    w, objectives = _solve_hinge(dim, idxs, vals, flat, signs, cfg)
-    return LinearModel(weights=w[:dim].copy(), bias=float(w[dim]), c_param=cfg.c_param,
-                       label_positive=label_positive, label_negative=label_negative,
-                       epoch_objectives=objectives)
+    return _fit_hinge(_prepare(X), signs, cfg, label_positive, label_negative)
 
 
 def predict_binary(model: LinearModel, x: SparseVector):
@@ -307,10 +279,9 @@ def train_ovr(X: Sequence[SparseVector], y: Sequence, cfg: TrainConfig,
             raise DataError(f"training labels outside the declared classes: {unknown}")
     if len(classes) < 2:
         raise DataError("one-vs-rest training needs at least two distinct classes")
-    models = []
-    for cls in classes:
-        y_bin = [1 if label == cls else -1 for label in y]
-        models.append(train_binary(X, y_bin, cfg, label_positive=cls, label_negative=REST_LABEL))
+    prepared = _prepare(X)
+    models = [_fit_hinge(prepared, [1 if label == cls else -1 for label in y], cfg, cls, REST_LABEL)
+              for cls in classes]
     return OneVsRestModel(classes=classes, models=models)
 
 
@@ -353,16 +324,15 @@ def train_traits(X: Sequence[SparseVector], targets, cfg: TrainConfig) -> TraitR
     rows = _target_rows(targets)
     if len(X) != len(rows):
         raise DataError(f"{len(X)} vectors but {len(rows)} target rows")
-    dim, idxs, vals, flat = _prepare(X)
-    weights, biases, histories = {}, {}, {}
+    prepared = _prepare(X)
+    lo, hi = [-cfg.c_param] * len(rows), [cfg.c_param] * len(rows)
+    weights, biases, histories, converged = {}, {}, {}, {}
     for name in TRAIT_NAMES:
         t = [row[name] for row in rows]
-        w, objectives = _solve_eps(dim, idxs, vals, flat, t, cfg)
-        weights[name] = w[:dim].copy()
-        biases[name] = float(w[dim])
-        histories[name] = objectives
+        weights[name], biases[name], histories[name], converged[name] = _solve(
+            *prepared, t, lo, hi, cfg.epsilon, cfg)
     return TraitRegressor(weights=weights, biases=biases, epsilon=cfg.epsilon,
-                          c_param=cfg.c_param, epoch_objectives=histories)
+                          c_param=cfg.c_param, epoch_objectives=histories, converged=converged)
 
 
 def predict_traits(model: TraitRegressor, x: SparseVector) -> dict[str, float]:

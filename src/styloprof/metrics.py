@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .corpus import TRAIT_NAMES
 from .errors import DataError
-
-TRAIT_NAMES = ("E", "N", "A", "C", "O")
 
 
 @dataclass

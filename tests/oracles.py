@@ -200,3 +200,110 @@ def random_separable_instance(rng: random.Random, dim: int = 3, margin: float = 
     if all(lab == labels[0] for lab in labels):
         return random_separable_instance(rng, dim, margin)
     return rows, labels, dim
+
+
+# ---------------------------------------------------------------------------
+# Per-family dual coordinate descent loops: the alpha-form hinge solver and
+# the beta-form epsilon-insensitive solver, one loop each, as they stood
+# before the library merged them into a single box-constrained core.  The
+# library must reproduce their weights, biases and epoch counts bit for bit.
+
+def _reference_rows(X) -> list:
+    """(columns, values) per sample, sorted by column."""
+    rows = []
+    for x in X:
+        ind = np.fromiter(x.entries.keys(), dtype=np.int64, count=len(x.entries))
+        val = np.fromiter(x.entries.values(), dtype=np.float64, count=len(x.entries))
+        order = np.argsort(ind, kind="stable")
+        rows.append((ind[order], val[order]))
+    return rows
+
+
+def reference_solve_hinge(X, y, cfg):
+    """L1-hinge SVM over alpha in [0, C]; returns (weights, bias, epochs,
+    whether the last sweep met the tolerance)."""
+    dim = X[0].dimension
+    rows = _reference_rows(X)
+    c = cfg.c_param
+    w = np.zeros(dim + 1)
+    alpha = np.zeros(len(y))
+    qii = [float(v @ v) + 1.0 for _, v in rows]
+    order = list(range(len(y)))
+    rng = random.Random(cfg.seed)
+    epochs = 0
+    for _ in range(cfg.epochs):
+        epochs += 1
+        rng.shuffle(order)
+        worst = 0.0
+        for i in order:
+            ind, val = rows[i]
+            margin = float(w[ind] @ val) + w[dim]
+            g = y[i] * margin - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= c:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                worst = max(worst, abs(pg))
+                new_a = min(max(a - g / qii[i], 0.0), c)
+                delta = new_a - a
+                if delta != 0.0:
+                    alpha[i] = new_a
+                    w[ind] += (delta * y[i]) * val
+                    w[dim] += delta * y[i]
+        if worst < cfg.tolerance:
+            break
+    return w[:dim], float(w[dim]), epochs, worst < cfg.tolerance
+
+
+def reference_solve_eps(X, t, cfg):
+    """Epsilon-insensitive regression over beta in [-C, C]; returns
+    (weights, bias, epochs, whether the last sweep met the tolerance)."""
+    dim = X[0].dimension
+    rows = _reference_rows(X)
+    c, eps = cfg.c_param, cfg.epsilon
+    w = np.zeros(dim + 1)
+    beta = np.zeros(len(t))
+    qii = [float(v @ v) + 1.0 for _, v in rows]
+    order = list(range(len(t)))
+    rng = random.Random(cfg.seed)
+    epochs = 0
+    for _ in range(cfg.epochs):
+        epochs += 1
+        rng.shuffle(order)
+        worst = 0.0
+        for i in order:
+            ind, val = rows[i]
+            g = float(w[ind] @ val) + w[dim] - t[i]
+            gp, gn = g + eps, g - eps
+            b = beta[i]
+            if b >= c:
+                violation = max(gp, 0.0)
+            elif b <= -c:
+                violation = max(-gn, 0.0)
+            elif b > 0.0:
+                violation = abs(gp)
+            elif b < 0.0:
+                violation = abs(gn)
+            else:
+                violation = max(-gp, gn, 0.0)
+            worst = max(worst, violation)
+            zp = b - gp / qii[i]
+            zn = b - gn / qii[i]
+            if zp > 0.0:
+                new_b = min(zp, c)
+            elif zn < 0.0:
+                new_b = max(zn, -c)
+            else:
+                new_b = 0.0
+            delta = new_b - b
+            if delta != 0.0:
+                beta[i] = new_b
+                w[ind] += delta * val
+                w[dim] += delta
+        if worst < cfg.tolerance:
+            break
+    return w[:dim], float(w[dim]), epochs, worst < cfg.tolerance

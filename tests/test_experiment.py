@@ -21,9 +21,12 @@ from styloprof.experiment import (
     prepare_corpus,
     render_result,
     run_experiment,
+    run_single,
     strip_timings,
     train_full,
 )
+from styloprof.features import ScalingPolicy
+from styloprof.learner import TrainConfig
 from styloprof.normalize import default_rules
 from styloprof.synthetic import write_marker_csv, write_sweep_csv
 
@@ -268,6 +271,14 @@ class TestPrepareCorpus:
         assert prepared.pos_source == "mixed(1/4 sidecars)"
         assert any("only 1 of 4 authors" in w for w in warnings)
 
+    def test_truth_dir_sidecar_block_count_mismatch(self, tmp_path):
+        corpus = tmp_path / "pan"
+        save_pan_truth_dir(truth_dir_samples(2), str(corpus))
+        (corpus / "author01.pos").write_text("hola\tNN\n", encoding="utf-8")
+        spec = CorpusSpec(format="PanTruthDir", path=str(corpus), language="es")
+        with pytest.raises(DataError, match="1 tagged documents but author 'author01' has 3"):
+            prepare_corpus(spec, default_rules("es"), {}, [])
+
     def test_text_normalized_in_documents(self, tmp_path):
         docs = [LabeledDocument(Document("d0", "ver http://x.co ya"),
                                 LabelSet(gender="Female")),
@@ -395,6 +406,33 @@ language = es
         assert any("fallback" in w for w in warnings)
 
 
+class TestEpochCapWarning:
+    CAPPED = MINIMAL + "\n[training]\nepochs = 1\ntolerance = 1e-12\n"
+    WARNING = "1 of 1 submodels stopped at the epoch cap (1 epochs) before reaching tolerance 1e-12"
+
+    def test_capped_training_warns(self, tmp_path):
+        cfg = config_for(tmp_path, text=self.CAPPED, n_docs=40)
+        result = run_experiment(cfg)
+        assert self.WARNING in result.warnings
+        assert f"warning\t{self.WARNING}\n" in render_result(result)
+        assert self.WARNING in train_full(cfg)[3]
+
+    def test_sweep_names_the_sample_size(self, tmp_path):
+        write_sweep_csv(tmp_path / "train.csv", n_docs=40)
+        text = self.CAPPED + "\n[sweep]\nk_values = 1, 2\n"
+        result = run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
+        capped = [w for w in result.warnings if "epoch cap" in w]
+        assert capped == [f"sample size {k}: {self.WARNING}" for k in (1, 2)]
+
+    def test_separable_two_points_do_not_warn(self):
+        samples = [Sample("f", [Document("f0", "aaa aaa", ("N",))], LabelSet(gender="Female")),
+                   Sample("m", [Document("m0", "zzz", ("V",))], LabelSet(gender="Male"))]
+        outcome = run_single("gender", samples, samples, ScalingPolicy("linear", "linear"),
+                             1, TrainConfig())
+        assert outcome.bundle.model.converged
+        assert outcome.warnings == []
+
+
 class TestSweep:
     def run_sweep(self, tmp_path, k_text):
         text = MINIMAL + f"\n[sweep]\nk_values = {k_text}\n"
@@ -486,3 +524,15 @@ class TestResultFiles:
         write_marker_csv(tmp_path / "train.csv", n_docs=20, seed=5)
         result2 = run_experiment(parse_config_text(MINIMAL, base_dir=str(tmp_path)))
         assert result2.provenance["train_corpus_sha256"] != fp1
+
+        # a truth dir hashes only truth.txt and the files of the authors it names
+        corpus = tmp_path / "pan"
+        save_pan_truth_dir(truth_dir_samples(4), str(corpus))
+        spec = CorpusSpec(format="PanTruthDir", path=str(corpus), language="es")
+        fingerprint = lambda: prepare_corpus(spec, default_rules("es"), {}, []).fingerprint
+        before = fingerprint()
+        (corpus / "notes.txt").write_text("not a document\n", encoding="utf-8")
+        assert fingerprint() == before
+        with open(corpus / "author01.txt", "a", encoding="utf-8") as fh:
+            fh.write("otra cosa\n")
+        assert fingerprint() != before

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from styloprof.errors import DataError
 from styloprof.features import ScalingPolicy, SparseVector
@@ -26,7 +28,7 @@ from styloprof.learner import (
     train_traits,
 )
 
-from oracles import random_separable_instance
+from oracles import random_separable_instance, reference_solve_eps, reference_solve_hinge
 
 TIGHT = TrainConfig(c_param=1.0, epochs=4000, tolerance=1e-12, seed=0)
 
@@ -516,3 +518,68 @@ class TestEpochObjectives:
                 want = epsilon_objective(reg.weights[name], reg.biases[name], X,
                                          [t[name] for t in targets], cfg.c_param, cfg.epsilon)
                 assert reg.epoch_objectives[name][-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_ovr(self):
+        rng = random.Random(23)
+        for trial in range(10):
+            X = self.rows(rng, rng.randint(6, 30), 5)
+            labels = [("a", "b", "c")[i % 3] for i in range(len(X))]
+            cfg = TrainConfig(c_param=rng.uniform(0.1, 5), epochs=rng.randint(1, 30), seed=trial)
+            model = train_ovr(X, labels, cfg)
+            for cls, sub in zip(model.classes, model.models):
+                y = [1 if lab == cls else -1 for lab in labels]
+                want = hinge_objective(sub.weights, sub.bias, X, y, cfg.c_param)
+                assert sub.epoch_objectives[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def solver_problems(draw):
+    """Small sparse problems with at least one empty row, C from tiny to
+    large, epsilon zero or positive, and tolerances that the sweeps meet
+    early, late or never."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(3, 12))
+    value = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    rows = [draw(st.dictionaries(st.integers(0, dim - 1), value, max_size=dim)) for _ in range(n)]
+    rows[draw(st.integers(0, n - 1))] = {}
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    labels[:2] = ["a", "b"]
+    targets = draw(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5),
+                            min_size=n, max_size=n))
+    cfg = TrainConfig(c_param=draw(st.sampled_from([1e-4, 0.3, 1.0, 1e4])),
+                      epochs=draw(st.integers(1, 40)),
+                      tolerance=draw(st.sampled_from([1e-12, 1e-4, 0.5])),
+                      seed=draw(st.integers(0, 2**16)),
+                      epsilon=draw(st.sampled_from([0.0, 0.05, 0.3])))
+    return [SparseVector(r, dim) for r in rows], labels, targets, cfg
+
+
+class TestSolverMatchesReferenceLoops:
+    """The one box-constrained core reproduces the per-family loops of
+    `oracles` bit for bit: weights, bias, epochs run and convergence."""
+
+    def assert_same(self, weights, bias, objectives, converged, reference):
+        ref_w, ref_b, ref_epochs, ref_converged = reference
+        assert weights.tobytes() == ref_w.tobytes()
+        assert repr(bias) == repr(ref_b)
+        assert len(objectives) == ref_epochs
+        assert converged == ref_converged
+
+    @given(solver_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_binary_ovr_and_traits(self, problem):
+        X, labels, targets, cfg = problem
+        signs = [1 if lab == "a" else -1 for lab in labels]
+        model = train_binary(X, signs, cfg)
+        self.assert_same(model.weights, model.bias, model.epoch_objectives, model.converged,
+                         reference_solve_hinge(X, signs, cfg))
+        ovr = train_ovr(X, labels, cfg)
+        for cls, sub in zip(ovr.classes, ovr.models):
+            y = [1 if lab == cls else -1 for lab in labels]
+            self.assert_same(sub.weights, sub.bias, sub.epoch_objectives, sub.converged,
+                             reference_solve_hinge(X, y, cfg))
+        reg = train_traits(X, targets, cfg)
+        for j, name in enumerate("ENACO"):
+            self.assert_same(reg.weights[name], reg.biases[name], reg.epoch_objectives[name],
+                             reg.converged[name],
+                             reference_solve_eps(X, [row[j] for row in targets], cfg))
