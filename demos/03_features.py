@@ -1,6 +1,6 @@
 """
-Character and tag n-grams, the vocabulary, and sparse vectors
-=============================================================
+Character and tag n-grams, the vocabulary, and the sparse matrix
+================================================================
 
 Both feature channels use orders 1 to 3. Character grams see each
 whitespace token padded with one underscore per side; tag grams run
@@ -8,7 +8,9 @@ over the document's tag stream unpadded.
 
 `char_ngrams` keys each gram by its window string ("_se") and
 `pos_ngrams` by its tuple of tags; the vocabulary names its columns
-with `FeatureKey(channel, gram)`.
+with `FeatureKey(channel, gram)`.  `vectorize` turns a list of samples
+into one `SparseMatrix` (compressed sparse rows), the input of training
+and prediction.
 """
 
 import os
@@ -40,12 +42,15 @@ print("vocabulary size:", len(vocab), "content hash:",
       vocab.content_hash()[:12], "...")
 print("first column:", vocab.keys[0])
 
-# counts become a sparse vector under a scaling policy; Spanish defaults
-# to log2(1 + count) on the tag channel and linear everywhere else
+# counts become one sparse row per sample under a scaling policy; Spanish
+# defaults to log2(1 + count) on the tag channel and linear everywhere else
 policy = default_policy("es")
 print("policy for es:", policy)
-x = vectorize(*samples[0], vocab, policy)
-print("sample 0 ->", len(x.entries), "of", x.dimension, "columns set")
+X = vectorize(samples, vocab, policy)
+print(len(X), "rows,", X.dimension, "columns,", len(X.entries), "stored entries")
+columns, values = X.row(0)
+print("sample 0 ->", len(columns), "of", X.dimension, "columns set; first:",
+      vocab.keys[columns[0]], "=", values[0])
 
 # the vocabulary is a plain text artifact and survives a round trip
 path = os.path.join(tempfile.mkdtemp(prefix="styloprof-demo-"), "demo.vocab")

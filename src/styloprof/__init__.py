@@ -10,13 +10,12 @@ from .corpus import (CorpusSpec, Document, LabeledDocument, LabelSet, Sample,
                      group_into_samples, load_flat_csv, load_pan_truth_dir,
                      save_flat_csv, save_pan_truth_dir, stratified_split)
 from .errors import ConfigError, DataError, StyloprofError
-from .features import (FeatureKey, ScalingPolicy, SparseVector, Vocabulary,
+from .features import (FeatureKey, ScalingPolicy, SparseMatrix, Vocabulary,
                        build_vocabulary, char_ngrams, default_policy,
                        pos_ngrams, vectorize)
 from .learner import (LinearModel, ModelBundle, OneVsRestModel, TrainConfig,
-                      TraitRegressor, load_model, predict_binary, predict_ovr,
-                      predict_traits, save_model, train_binary, train_ovr,
-                      train_traits)
+                      TraitRegressor, load_model, margins, predict,
+                      save_model, train_binary, train_ovr, train_traits)
 from .metrics import (ClassReport, ConfusionMatrix, TraitReport, confusion,
                       render_report, render_trait_report, report, rmse,
                       trait_rmse_report)

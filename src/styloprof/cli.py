@@ -9,6 +9,7 @@ read and written gzip-compressed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .corpus import FORMATS, LANGUAGES, TRAIT_NAMES, CorpusSpec, open_text
@@ -95,18 +96,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _format_prediction(row) -> str:
+def _format_row(row) -> str:
+    """A prediction or truth row: the sample id, then trait=value fields,
+    or the label followed by the margin when there is one."""
     if isinstance(row[1], dict):
-        pairs = "\t".join(f"{name}={row[1][name]!r}" for name in TRAIT_NAMES)
-        return f"{row[0]}\t{pairs}"
-    return f"{row[0]}\t{row[1]}\t{row[2]!r}"
-
-
-def _format_truth(row) -> str:
-    if isinstance(row[1], dict):
-        pairs = "\t".join(f"{name}={row[1][name]!r}" for name in TRAIT_NAMES)
-        return f"{row[0]}\t{pairs}"
-    return f"{row[0]}\t{row[1]}"
+        return "\t".join([row[0]] + [f"{name}={row[1][name]!r}" for name in TRAIT_NAMES])
+    return "\t".join([row[0], f"{row[1]}"] + [repr(margin) for margin in row[2:]])
 
 
 def _cmd_predict(args) -> int:
@@ -114,9 +109,9 @@ def _cmd_predict(args) -> int:
     bundle = load_model(args.model, expected_vocab_hash=vocab.content_hash())
     samples = _prepared_samples(args)
     rows = predict_samples(bundle, vocab, samples)
-    _write_lines(args.output, [_format_prediction(r) for r in rows])
+    _write_lines(args.output, [_format_row(r) for r in rows])
     if args.truth_out:
-        _write_lines(args.truth_out, [_format_truth(r) for r in truth_rows(bundle.kind, samples)])
+        _write_lines(args.truth_out, [_format_row(r) for r in truth_rows(bundle.kind, samples)])
     print(f"predicted {len(rows)} sample(s) -> {args.output}")
     return 0
 
@@ -156,6 +151,8 @@ def _read_trait_rows(path) -> list[tuple[str, dict[str, float]]]:
                     values[name] = float(raw_value)
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: unparsable trait value {raw_value!r}") from None
+                if not math.isfinite(values[name]):
+                    raise DataError(f"{path}:{lineno}: non-finite trait value {raw_value!r}")
             if len(values) != len(TRAIT_NAMES):
                 raise DataError(f"{path}:{lineno}: duplicate or missing trait fields")
             rows.append((parts[0], values))

@@ -23,7 +23,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import ConfigError, DataError
 
@@ -320,9 +320,7 @@ def _class_tag(labels: LabelSet) -> str:
     return "|".join(parts)
 
 
-def _label_getter(key) -> Callable[[Sample], object]:
-    if callable(key):
-        return key
+def _label_getter(key: str):
     if key == "gender":
         return lambda sample: sample.labels.gender
     if key == "age_band":

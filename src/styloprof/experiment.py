@@ -31,9 +31,7 @@ from .corpus import (CorpusSpec, Document, LabeledDocument, Sample, author_path,
 from .errors import ConfigError, DataError
 from .features import (CHAR, LINEAR, LOG2, POS, FeatureKey, ScalingPolicy, Vocabulary,
                        build_vocabulary, char_ngrams, default_policy, pos_ngrams, vectorize)
-from .learner import (ModelBundle, TrainConfig, ovr_margins, predict_binary,
-                      predict_ovr, predict_traits, train_binary, train_ovr,
-                      train_traits)
+from .learner import ModelBundle, TrainConfig, predict, train_binary, train_ovr, train_traits
 from .metrics import (ClassReport, TraitReport, confusion, render_report,
                       render_trait_report, report, trait_rmse_report)
 from .normalize import default_rules, load_rules, normalize
@@ -405,7 +403,7 @@ def _first_appearance(values) -> list:
     return list(dict.fromkeys(values))
 
 
-def _train_task(task: str, x_train, train_samples: list[Sample], tc: TrainConfig,
+def _train_task(task: str, X, train_samples: list[Sample], tc: TrainConfig,
                 policy: ScalingPolicy, vocab_hash: str, warnings: list[str]) -> ModelBundle:
     """Fit the task's model; warns when submodels stopped at the epoch cap."""
     if task == "gender":
@@ -414,15 +412,15 @@ def _train_task(task: str, x_train, train_samples: list[Sample], tc: TrainConfig
         if len(classes) != 2:
             raise DataError(f"gender task needs exactly two classes in training data, got {classes}")
         y = [1 if lab == classes[0] else -1 for lab in labels]
-        model = train_binary(x_train, y, tc, label_positive=classes[0], label_negative=classes[1])
+        model = train_binary(X, y, tc, label_positive=classes[0], label_negative=classes[1])
         kind, converged = "binary", [model.converged]
     elif task == "age":
         labels = [_require(s.labels.age_band, s, "age band") for s in train_samples]
-        model = train_ovr(x_train, labels, tc)
+        model = train_ovr(X, labels, tc)
         kind, converged = "ovr", [m.converged for m in model.models]
     else:
         targets = [_require(s.labels.traits, s, "traits") for s in train_samples]
-        model = train_traits(x_train, targets, tc)
+        model = train_traits(X, targets, tc)
         kind, converged = "traits", list(model.converged.values())
     capped = converged.count(False)
     if capped:
@@ -431,27 +429,20 @@ def _train_task(task: str, x_train, train_samples: list[Sample], tc: TrainConfig
     return ModelBundle(kind=kind, vocab_hash=vocab_hash, policy=policy, config=tc, model=model)
 
 
-def predict_one(bundle: ModelBundle, x):
-    """(label, margin) for classifiers, a trait->value dict for regressors."""
-    if bundle.kind == "binary":
-        return predict_binary(bundle.model, x)
-    if bundle.kind == "ovr":
-        label = predict_ovr(bundle.model, x)
-        return label, max(ovr_margins(bundle.model, x))
-    return predict_traits(bundle.model, x)
+def predict_one(bundle: ModelBundle, X):
+    """Predictions for every row of the matrix X, one per sample: (label,
+    margin) for classifiers, a trait->value dict for regressors."""
+    return predict(bundle.model, X)
 
 
 def predict_samples(bundle: ModelBundle, vocab: Vocabulary, samples: list[Sample]) -> list[tuple]:
-    rows = []
-    for sample in samples:
-        chars, tags = sample_counts(sample)
-        x = vectorize(chars, tags, vocab, bundle.policy)
-        prediction = predict_one(bundle, x)
-        if bundle.kind == "traits":
-            rows.append((sample.id, prediction))
-        else:
-            rows.append((sample.id, prediction[0], prediction[1]))
-    return rows
+    """(sample id, label, margin) per sample for classifiers, (sample id,
+    trait->value dict) for regressors."""
+    X = vectorize([sample_counts(s) for s in samples], vocab, bundle.policy)
+    predictions = predict_one(bundle, X)
+    if bundle.kind == "traits":
+        return [(s.id, values) for s, values in zip(samples, predictions)]
+    return [(s.id, label, margin) for s, (label, margin) in zip(samples, predictions)]
 
 
 def truth_rows(kind: str, samples: list[Sample]) -> list[tuple]:
@@ -466,42 +457,35 @@ def truth_rows(kind: str, samples: list[Sample]) -> list[tuple]:
     return rows
 
 
+def _fit(task: str, samples: list[Sample], policy: ScalingPolicy, min_df: int, tc: TrainConfig,
+         warnings: list[str]) -> tuple[Vocabulary, ModelBundle]:
+    """Counts, vocabulary, one matrix and the task's model, from training
+    samples only."""
+    counts = [sample_counts(s) for s in samples]
+    vocab = build_vocabulary(counts, min_df=min_df)
+    X = vectorize(counts, vocab, policy)
+    return vocab, _train_task(task, X, samples, tc, policy, vocab.content_hash(), warnings)
+
+
 def run_single(task: str, train_samples: list[Sample], test_samples: list[Sample],
                policy: ScalingPolicy, min_df: int, tc: TrainConfig,
                report_classes: list | None = None) -> RunOutcome:
-    train_counts = [sample_counts(s) for s in train_samples]
-    test_counts = [sample_counts(s) for s in test_samples]
-    vocab = build_vocabulary(train_counts, min_df=min_df)
-    x_train = [vectorize(c, p, vocab, policy) for c, p in train_counts]
-    x_test = [vectorize(c, p, vocab, policy) for c, p in test_counts]
-    outcome = RunOutcome(vocab_hash=vocab.content_hash(),
-                         n_train=len(train_samples), n_test=len(test_samples))
-    outcome.bundle = _train_task(task, x_train, train_samples, tc, policy, outcome.vocab_hash,
-                                 outcome.warnings)
+    warnings: list[str] = []
+    vocab, bundle = _fit(task, train_samples, policy, min_df, tc, warnings)
+    outcome = RunOutcome(vocab_hash=bundle.vocab_hash, n_train=len(train_samples),
+                         n_test=len(test_samples), bundle=bundle, warnings=warnings,
+                         predictions=predict_samples(bundle, vocab, test_samples))
+    truth = [value for _, value in truth_rows(bundle.kind, test_samples)]
 
     if task == "traits":
-        pred_by_trait = {name: [] for name in TRAIT_NAMES}
-        truth_by_trait = {name: [] for name in TRAIT_NAMES}
-        for sample, x in zip(test_samples, x_test):
-            values = predict_one(outcome.bundle, x)
-            outcome.predictions.append((sample.id, values))
-            truths = _require(sample.labels.traits, sample, "traits")
-            for name in TRAIT_NAMES:
-                pred_by_trait[name].append(values[name])
-                truth_by_trait[name].append(truths[name])
-        outcome.trait_report = trait_rmse_report(pred_by_trait, truth_by_trait)
+        outcome.trait_report = trait_rmse_report(
+            {name: [values[name] for _, values in outcome.predictions] for name in TRAIT_NAMES},
+            {name: [values[name] for values in truth] for name in TRAIT_NAMES})
         return outcome
 
-    label_of = (lambda s: _require(s.labels.gender, s, "gender")) if task == "gender" \
-        else (lambda s: _require(s.labels.age_band, s, "age band"))
-    truth, pred = [], []
-    for sample, x in zip(test_samples, x_test):
-        label, margin = predict_one(outcome.bundle, x)
-        outcome.predictions.append((sample.id, label, margin))
-        truth.append(label_of(sample))
-        pred.append(label)
+    pred = [label for _, label, _ in outcome.predictions]
     if report_classes is None:
-        model = outcome.bundle.model
+        model = bundle.model
         model_classes = [model.label_positive, model.label_negative] if task == "gender" else model.classes
         report_classes = _first_appearance(list(model_classes) + truth)
     outcome.class_report = report(confusion(truth, pred, report_classes))
@@ -516,12 +500,8 @@ def train_full(cfg: ExperimentConfig):
     lexicon = load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else {}
     prepared = prepare_corpus(cfg.train_corpus, rules, lexicon, warnings)
     samples = as_samples(prepared)
-    counts = [sample_counts(s) for s in samples]
-    vocab = build_vocabulary(counts, min_df=cfg.min_df)
-    policy = cfg.resolved_scaling()
-    x_train = [vectorize(c, p, vocab, policy) for c, p in counts]
-    bundle = _train_task(cfg.task, x_train, samples, cfg.train_config, policy,
-                         vocab.content_hash(), warnings)
+    vocab, bundle = _fit(cfg.task, samples, cfg.resolved_scaling(), cfg.min_df,
+                         cfg.train_config, warnings)
     return vocab, bundle, len(samples), warnings
 
 

@@ -14,7 +14,9 @@ the vocabulary's own columns are named by `FeatureKey(channel, gram)`,
 which is also what the vocabulary file and `content_hash` are made of.
 
 Counts are per *sample* (all documents pooled) and scaled either linearly
-or as log2(1 + count), selectable per channel.
+or as log2(1 + count), selectable per channel.  `vectorize` turns a list
+of samples into one `SparseMatrix` in compressed sparse row form, the
+layout the learner trains on and predicts from.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -45,9 +49,9 @@ class ScalingPolicy(NamedTuple):
     pos_scale: str = LINEAR
 
 
-def default_policy(language: str, task: str = "gender") -> ScalingPolicy:
+def default_policy(language: str) -> ScalingPolicy:
     """Per-language scaling defaults: log-scaled POS counts for Spanish,
-    linear everywhere else.  `task` is accepted for symmetry but unused."""
+    linear everywhere else."""
     if language == "es":
         return ScalingPolicy(LINEAR, LOG2)
     if language in ("en", "it", "nl"):
@@ -90,10 +94,63 @@ def pos_ngrams(stream: list[str], n_min: int = 1, n_max: int = 3) -> Counter:
     return grams
 
 
-@dataclass
-class SparseVector:
-    entries: dict[int, float]
+@dataclass(eq=False)
+class SparseMatrix:
+    """Samples by vocabulary columns in compressed sparse row form: row r
+    holds the values `entries[indptr[r]:indptr[r + 1]]` at the columns
+    `indices[indptr[r]:indptr[r + 1]]`, which ascend within the row.
+
+    The constructor checks the layout once: `indptr` starts at 0, never
+    decreases and ends at the stored-entry count; columns lie in
+    [0, dimension) and ascend strictly within each row; every value is
+    finite."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    entries: np.ndarray
     dimension: int
+
+    def __post_init__(self):
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.entries = np.asarray(self.entries, dtype=np.float64)
+        if self.dimension < 1:
+            raise DataError("feature dimension must be >= 1")
+        nnz = self.entries.size
+        if (self.indptr.ndim != 1 or self.indptr.size < 1 or self.indptr[0] != 0
+                or self.indptr[-1] != nnz or self.indices.shape != self.entries.shape
+                or np.any(np.diff(self.indptr) < 0)):
+            raise DataError("malformed sparse row pointers")
+        if nnz and (self.indices.min() < 0 or self.indices.max() >= self.dimension):
+            raise DataError("feature column outside vector dimension")
+        # (row, column) pairs as one key each: ascending keys mean columns
+        # sorted and unique within every row
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        if np.any(np.diff(rows * self.dimension + self.indices) <= 0):
+            raise DataError("feature columns not strictly ascending within a row")
+        if not np.all(np.isfinite(self.entries)):
+            raise DataError("non-finite feature value")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Mapping[int, float]], dimension: int) -> "SparseMatrix":
+        """One row per column -> value mapping, its columns sorted."""
+        indptr, indices, entries = [0], [], []
+        for row in rows:
+            indices += row.keys()
+            entries += row.values()
+            indptr.append(len(indices))
+        indptr, indices = np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
+        # one sort of (row, column) keys puts every row's columns in order
+        order = np.argsort(np.repeat(np.arange(indptr.size - 1), np.diff(indptr)) * dimension + indices)
+        return cls(indptr, indices[order], np.array(entries, dtype=np.float64)[order], dimension)
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and values of row r, as views into the matrix."""
+        start, end = self.indptr[r], self.indptr[r + 1]
+        return self.indices[start:end], self.entries[start:end]
 
 
 @dataclass
@@ -104,7 +161,7 @@ class Vocabulary:
     `vectorize` looks grams up in one index per channel, keyed the way
     `char_ngrams` (a string) and `pos_ngrams` (a tuple) key them.  A char
     gram's units must each be one character, so that the string names a
-    single key."""
+    single key, and no key may appear twice."""
 
     keys: list[FeatureKey]
     min_df: int
@@ -117,9 +174,14 @@ class Vocabulary:
             if key.channel == CHAR:
                 if any(len(unit) != 1 for unit in key.gram):
                     raise DataError(f"char gram {key.gram!r} has a unit that is not one character")
-                self.char_index["".join(key.gram)] = col
+                index, gram = self.char_index, "".join(key.gram)
             elif key.channel == POS:
-                self.pos_index[key.gram] = col
+                index, gram = self.pos_index, key.gram
+            else:
+                continue
+            if gram in index:
+                raise DataError(f"repeated vocabulary key {key.channel} {key.gram!r}")
+            index[gram] = col
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -239,19 +301,22 @@ def build_vocabulary(samples: Iterable[tuple[Counter, Counter]], min_df: int = 2
     return Vocabulary(keys=keys, min_df=min_df)
 
 
-def vectorize(char_counts: Counter, pos_counts: Counter, vocab: Vocabulary,
-              policy: ScalingPolicy) -> SparseVector:
-    """Scaled sparse vector over `vocab` from `char_ngrams`- and
-    `pos_ngrams`-keyed counts; out-of-vocabulary grams dropped."""
+def vectorize(samples: Iterable[tuple[Counter, Counter]], vocab: Vocabulary,
+              policy: ScalingPolicy) -> SparseMatrix:
+    """One scaled row over `vocab` per sample, from (`char_ngrams`,
+    `pos_ngrams`)-keyed count pairs; out-of-vocabulary grams dropped."""
     if len(vocab) == 0:
         raise DataError("empty vocabulary")
-    entries: dict[int, float] = {}
-    for counts, index, scale in ((char_counts, vocab.char_index, policy.char_scale),
-                                 (pos_counts, vocab.pos_index, policy.pos_scale)):
-        column = index.get
-        for gram, count in counts.items():
-            col = column(gram)
-            if col is None or count == 0:
-                continue
-            entries[col] = float(count) if scale == LINEAR else math.log2(1.0 + count)
-    return SparseVector(entries=entries, dimension=len(vocab))
+    channels = ((vocab.char_index.get, policy.char_scale), (vocab.pos_index.get, policy.pos_scale))
+
+    def row(counts_pair) -> dict[int, float]:
+        entries: dict[int, float] = {}
+        for counts, (column, scale) in zip(counts_pair, channels):
+            for gram, count in counts.items():
+                col = column(gram)
+                if col is None or count == 0:
+                    continue
+                entries[col] = float(count) if scale == LINEAR else math.log2(1.0 + count)
+        return entries
+
+    return SparseMatrix.from_rows(map(row, samples), len(vocab))

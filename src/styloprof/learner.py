@@ -16,6 +16,13 @@ feature, so it is regularized together with the weights; all objective
 values reported here include the bias in the regularizer.  Training is
 deterministic for a fixed seed: the seed drives the per-epoch coordinate
 permutations and nothing else.
+
+Every family trains on and predicts from one `SparseMatrix`, the
+compressed sparse rows `features.vectorize` builds.  `margins` computes
+X W' + b for a stack of weight vectors; it gives both the per-epoch
+primal objective and the predictions, which `predict` decodes per model
+kind: the sign for a binary model, the first argmax for one-vs-rest and
+a clamp to the trait range for the regressors.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from .corpus import TRAIT_NAMES, TRAIT_MAX, TRAIT_MIN
 from .errors import DataError
-from .features import LINEAR, LOG2, ScalingPolicy, SparseVector
+from .features import LINEAR, LOG2, ScalingPolicy, SparseMatrix
 
 MODEL_FORMAT = "styloprof-model-v1"
 REST_LABEL = "rest"
@@ -89,82 +96,40 @@ class TraitRegressor:
 
 
 # ---------------------------------------------------------------------------
-# sparse input preparation
+# rows, margins and the primal objective (bias included in the regularizer,
+# see module docstring)
 
-def _prepare(X: Sequence[SparseVector]):
-    """Index/value arrays per sample, sorted by column, plus the shared
-    dimension, the same entries laid out flat for whole-set margins
-    (rows that have entries, where each of them starts, columns, values)
-    and the dual diagonal Q_ii = x_i . x_i + 1 (the 1 is the bias feature).
-    Rejects non-finite values and out-of-range columns."""
-    if not X:
+def _prepare(X: SparseMatrix):
+    """Each row's (columns, values), as views into X, and the dual
+    diagonal Q_ii = x_i . x_i + 1 (the 1 is the bias feature)."""
+    if len(X) == 0:
         raise DataError("empty training set")
-    dim = X[0].dimension
-    if dim < 1:
-        raise DataError("feature dimension must be >= 1")
-    idxs, vals = [], []
-    for x in X:
-        if x.dimension != dim:
-            raise DataError(f"dimension mismatch: {x.dimension} vs {dim}")
-        ind = np.fromiter(x.entries.keys(), dtype=np.int64, count=len(x.entries))
-        val = np.fromiter(x.entries.values(), dtype=np.float64, count=len(x.entries))
-        if ind.size:
-            if ind.min() < 0 or ind.max() >= dim:
-                raise DataError("feature column outside vector dimension")
-            if not np.all(np.isfinite(val)):
-                raise DataError("non-finite feature value")
-            order = np.argsort(ind, kind="stable")
-            ind, val = ind[order], val[order]
-        idxs.append(ind)
-        vals.append(val)
-    lengths = np.array([ind.size for ind in idxs])
-    nonempty = lengths > 0
-    starts = (np.cumsum(lengths) - lengths)[nonempty]
-    qii = [float(v @ v) + 1.0 for v in vals]
-    return dim, idxs, vals, (nonempty, starts, np.concatenate(idxs), np.concatenate(vals)), qii
+    rows = [X.row(r) for r in range(len(X))]
+    return rows, [float(v @ v) + 1.0 for _, v in rows]
 
 
-def _margin(weights: np.ndarray, bias: float, x: SparseVector) -> float:
-    if x.dimension != weights.shape[0]:
-        raise DataError(f"dimension mismatch: vector has {x.dimension}, model has {weights.shape[0]}")
-    total = bias
-    for col, value in x.entries.items():
-        total += weights[col] * value
-    return float(total)
-
-
-# ---------------------------------------------------------------------------
-# objectives (bias included in the regularizer, see module docstring)
-
-def hinge_objective(weights: np.ndarray, bias: float, X: Sequence[SparseVector],
-                    y: Sequence[int], c_param: float) -> float:
-    reg = 0.5 * (float(weights @ weights) + bias * bias)
-    loss = 0.0
-    for x, label in zip(X, y):
-        loss += max(0.0, 1.0 - label * _margin(weights, bias, x))
-    return reg + c_param * loss
-
-
-def epsilon_objective(weights: np.ndarray, bias: float, X: Sequence[SparseVector],
-                      targets: Sequence[float], c_param: float, epsilon: float) -> float:
-    reg = 0.5 * (float(weights @ weights) + bias * bias)
-    loss = 0.0
-    for x, t in zip(X, targets):
-        loss += max(0.0, abs(_margin(weights, bias, x) - t) - epsilon)
-    return reg + c_param * loss
+def margins(X: SparseMatrix, weights: np.ndarray, biases) -> np.ndarray:
+    """X W' + b: one row per sample of X and one column per row of the
+    (models, dimension) `weights`."""
+    weights = np.atleast_2d(weights)
+    if weights.shape[1] != X.dimension:
+        raise DataError(f"dimension mismatch: matrix has {X.dimension} columns, "
+                        f"model has {weights.shape[1]}")
+    out = np.tile(np.asarray(biases, dtype=np.float64), (len(X), 1))
+    nonempty = np.diff(X.indptr) > 0
+    if X.entries.size:
+        out[nonempty] += np.add.reduceat(np.take(weights, X.indices, axis=1) * X.entries,
+                                         X.indptr[:-1][nonempty], axis=1).T
+    return out
 
 
 # einsum, not `w @ w`: past 10,000 columns BLAS wakes a worker thread
 # that then spins for the rest of training
-def _primal(w, dim, flat, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps) -> float:
+def _primal(w, X: SparseMatrix, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps) -> float:
     """Primal objective of `_solve`'s problem: per sample max(hi (r - eps),
     lo (r + eps), 0) with r = t - margin, which is C max(0, 1 - y margin)
     for the hinge and C max(0, |margin - t| - eps) for regression."""
-    nonempty, starts, cols, values = flat
-    margins = np.full(t.size, w[dim])
-    if starts.size:
-        margins[nonempty] += np.add.reduceat(values * w[cols], starts)
-    r = t - margins
+    r = t - margins(X, w[:-1], w[-1:])[:, 0]
     loss = np.maximum(np.maximum(hi * (r - eps), lo * (r + eps)), 0.0).sum()
     return 0.5 * float(np.einsum("i,i->", w, w)) + float(loss)
 
@@ -172,12 +137,13 @@ def _primal(w, dim, flat, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps) ->
 # ---------------------------------------------------------------------------
 # solver
 
-def _solve(dim, idxs, vals, flat, qii, t, lo, hi, eps, cfg: TrainConfig):
+def _solve(X: SparseMatrix, rows, qii, t, lo, hi, eps, cfg: TrainConfig):
     """Dual coordinate descent (module docstring) with Q_ij = x_i . x_j + 1
     and w = sum_i b_i x_i.  Stops once a full sweep finds no
     projected-gradient violation reaching the tolerance, or at the epoch
     cap.  Returns the weights, the bias, the primal objective after every
     sweep and whether the last sweep met the tolerance."""
+    dim = X.dimension
     arrays = [np.asarray(v, dtype=np.float64) for v in (t, lo, hi)]
     w = np.zeros(dim + 1)
     beta = np.zeros(len(t))
@@ -188,7 +154,7 @@ def _solve(dim, idxs, vals, flat, qii, t, lo, hi, eps, cfg: TrainConfig):
         rng.shuffle(order)
         worst = 0.0
         for i in order:
-            ind, val = idxs[i], vals[i]
+            ind, val = rows[i]
             g = float(w[ind] @ val) + w[dim] - t[i]
             gp, gn = g + eps, g - eps
             b = beta[i]
@@ -218,7 +184,7 @@ def _solve(dim, idxs, vals, flat, qii, t, lo, hi, eps, cfg: TrainConfig):
                 beta[i] = new_b
                 w[ind] += delta * val
                 w[dim] += delta
-        objectives.append(_primal(w, dim, flat, *arrays, eps))
+        objectives.append(_primal(w, X, *arrays, eps))
         if worst < cfg.tolerance:
             break
     return w[:dim].copy(), float(w[dim]), objectives, bool(worst < cfg.tolerance)
@@ -227,22 +193,22 @@ def _solve(dim, idxs, vals, flat, qii, t, lo, hi, eps, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 # public training and prediction
 
-def _fit_hinge(prepared, signs: list[int], cfg: TrainConfig,
+def _fit_hinge(X: SparseMatrix, prepared, signs: list[int], cfg: TrainConfig,
                label_positive, label_negative) -> LinearModel:
     """L1-hinge SVM: t = y, eps = 0 and the box b = y alpha, alpha in [0, C]."""
     c = cfg.c_param
     lo = [0.0 if s > 0 else -c for s in signs]
     hi = [c if s > 0 else 0.0 for s in signs]
-    weights, bias, objectives, converged = _solve(*prepared, signs, lo, hi, 0.0, cfg)
+    weights, bias, objectives, converged = _solve(X, *prepared, signs, lo, hi, 0.0, cfg)
     return LinearModel(weights=weights, bias=bias, c_param=c,
                        label_positive=label_positive, label_negative=label_negative,
                        epoch_objectives=objectives, converged=converged)
 
 
-def train_binary(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig,
+def train_binary(X: SparseMatrix, y: Sequence[int], cfg: TrainConfig,
                  label_positive=1, label_negative=-1) -> LinearModel:
     if len(X) != len(y):
-        raise DataError(f"{len(X)} vectors but {len(y)} labels")
+        raise DataError(f"{len(X)} rows but {len(y)} labels")
     if len(X) < 2:
         raise DataError("need at least two training samples")
     if any(label not in (1, -1) for label in y):
@@ -250,22 +216,15 @@ def train_binary(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig,
     signs = [int(label) for label in y]
     if len(set(signs)) < 2:
         raise DataError("training data contains a single class; both classes are required")
-    return _fit_hinge(_prepare(X), signs, cfg, label_positive, label_negative)
+    return _fit_hinge(X, _prepare(X), signs, cfg, label_positive, label_negative)
 
 
-def predict_binary(model: LinearModel, x: SparseVector):
-    """(class, margin); the boundary itself goes to the positive class."""
-    margin = _margin(model.weights, model.bias, x)
-    label = model.label_positive if margin >= 0.0 else model.label_negative
-    return label, margin
-
-
-def train_ovr(X: Sequence[SparseVector], y: Sequence, cfg: TrainConfig,
+def train_ovr(X: SparseMatrix, y: Sequence, cfg: TrainConfig,
               classes: Sequence | None = None) -> OneVsRestModel:
     """One binary model per class (that class against the rest); class
     order is first appearance in the training labels."""
     if len(X) != len(y):
-        raise DataError(f"{len(X)} vectors but {len(y)} labels")
+        raise DataError(f"{len(X)} rows but {len(y)} labels")
     seen = list(dict.fromkeys(y))
     if classes is None:
         classes = seen
@@ -280,23 +239,10 @@ def train_ovr(X: Sequence[SparseVector], y: Sequence, cfg: TrainConfig,
     if len(classes) < 2:
         raise DataError("one-vs-rest training needs at least two distinct classes")
     prepared = _prepare(X)
-    models = [_fit_hinge(prepared, [1 if label == cls else -1 for label in y], cfg, cls, REST_LABEL)
+    models = [_fit_hinge(X, prepared, [1 if label == cls else -1 for label in y], cfg,
+                         cls, REST_LABEL)
               for cls in classes]
     return OneVsRestModel(classes=classes, models=models)
-
-
-def ovr_margins(model: OneVsRestModel, x: SparseVector) -> list[float]:
-    return [_margin(m.weights, m.bias, x) for m in model.models]
-
-
-def predict_ovr(model: OneVsRestModel, x: SparseVector):
-    """Argmax of per-class margins; ties go to the earliest class."""
-    margins = ovr_margins(model, x)
-    best = 0
-    for i in range(1, len(margins)):
-        if margins[i] > margins[best]:
-            best = i
-    return model.classes[best]
 
 
 def _target_rows(targets) -> list[dict[str, float]]:
@@ -319,29 +265,40 @@ def _target_rows(targets) -> list[dict[str, float]]:
     return rows
 
 
-def train_traits(X: Sequence[SparseVector], targets, cfg: TrainConfig) -> TraitRegressor:
+def train_traits(X: SparseMatrix, targets, cfg: TrainConfig) -> TraitRegressor:
     """Five independent epsilon-insensitive regressions, one per trait."""
     rows = _target_rows(targets)
     if len(X) != len(rows):
-        raise DataError(f"{len(X)} vectors but {len(rows)} target rows")
+        raise DataError(f"{len(X)} rows but {len(rows)} target rows")
     prepared = _prepare(X)
     lo, hi = [-cfg.c_param] * len(rows), [cfg.c_param] * len(rows)
     weights, biases, histories, converged = {}, {}, {}, {}
     for name in TRAIT_NAMES:
         t = [row[name] for row in rows]
         weights[name], biases[name], histories[name], converged[name] = _solve(
-            *prepared, t, lo, hi, cfg.epsilon, cfg)
+            X, *prepared, t, lo, hi, cfg.epsilon, cfg)
     return TraitRegressor(weights=weights, biases=biases, epsilon=cfg.epsilon,
                           c_param=cfg.c_param, epoch_objectives=histories, converged=converged)
 
 
-def predict_traits(model: TraitRegressor, x: SparseVector) -> dict[str, float]:
-    """Per-trait prediction clamped to the trait range."""
-    out = {}
-    for name in TRAIT_NAMES:
-        raw = _margin(model.weights[name], model.biases[name], x)
-        out[name] = min(max(raw, TRAIT_MIN), TRAIT_MAX)
-    return out
+def predict(model, X: SparseMatrix) -> list:
+    """One prediction per row of X, from one `margins` product: (class,
+    margin) for a binary model, the boundary itself going to the positive
+    class; (class, margin) of the first class with the largest margin for
+    one-vs-rest; a trait -> value dict, each clamped to the trait range,
+    for a regressor.  Margins and values are Python floats."""
+    if isinstance(model, TraitRegressor):
+        values = margins(X, np.stack([model.weights[name] for name in TRAIT_NAMES]),
+                         [model.biases[name] for name in TRAIT_NAMES])
+        return [dict(zip(TRAIT_NAMES, row))
+                for row in np.clip(values, TRAIT_MIN, TRAIT_MAX).tolist()]
+    if isinstance(model, OneVsRestModel):
+        values = margins(X, np.stack([m.weights for m in model.models]),
+                         [m.bias for m in model.models])
+        return [(model.classes[best], top)
+                for best, top in zip(values.argmax(axis=1).tolist(), values.max(axis=1).tolist())]
+    values = margins(X, model.weights, [model.bias])[:, 0].tolist()
+    return [(model.label_positive if v >= 0.0 else model.label_negative, v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +340,7 @@ def _format_weights(weights: np.ndarray) -> str:
 
 
 def _parse_weights(text: str, dim: int) -> np.ndarray:
-    parts = text.split() if text else []
+    parts = text.split()
     if len(parts) != dim:
         raise DataError(f"expected {dim} weights, got {len(parts)}")
     try:
@@ -477,6 +434,7 @@ def load_model(path, expected_vocab_hash: str | None = None) -> ModelBundle:
     reader = _LineReader(lines, path)
     reader.pos = 1
     (vocab_hash,) = reader.take("vocab_hash", 1)
+    vocab_hash = "" if vocab_hash == "-" else vocab_hash  # how save_model writes no hash
     char_scale, pos_scale = reader.take("policy", 2)
     if char_scale not in (LINEAR, LOG2) or pos_scale not in (LINEAR, LOG2):
         raise DataError(f"{path}: unknown scaling in policy line")
@@ -493,11 +451,12 @@ def load_model(path, expected_vocab_hash: str | None = None) -> ModelBundle:
         dim = int(dim_token)
     except ValueError:
         raise DataError(f"{path}: malformed dimension {dim_token!r}") from None
+    if dim < 1:
+        raise DataError(f"{path}: dimension must be >= 1, got {dim}")
 
     def read_vector():
         (bias_token,) = reader.take("bias", 1)
-        weight_parts = reader.take("weights")
-        text = weight_parts[0] if weight_parts else ""
+        (text,) = reader.take("weights", 1)
         try:
             return _parse_finite(bias_token, "bias"), _parse_weights(text, dim)
         except DataError as exc:

@@ -117,25 +117,24 @@ class TraitReport:
 
 
 def trait_rmse_report(pred_by_trait: Mapping[str, Sequence[float]],
-                      truth_by_trait: Mapping[str, Sequence[float]],
-                      names: Sequence[str] = TRAIT_NAMES) -> TraitReport:
+                      truth_by_trait: Mapping[str, Sequence[float]]) -> TraitReport:
     """Per-trait RMSE plus the suite score, the arithmetic mean of the
     five per-trait values."""
     per_trait = {}
-    for name in names:
+    for name in TRAIT_NAMES:
         if name not in pred_by_trait or name not in truth_by_trait:
             raise DataError(f"missing trait {name!r} in predictions or truths")
         per_trait[name] = rmse(pred_by_trait[name], truth_by_trait[name])
     return TraitReport(per_trait=per_trait, mean=sum(per_trait.values()) / len(per_trait))
 
 
-def render_report(rep: ClassReport, class_renderer=str) -> str:
+def render_report(rep: ClassReport) -> str:
     """Delimited table with columns class, P, R, F, A; the accuracy is a
     single value so it is printed on the first row only."""
     lines = ["class\tP\tR\tF\tA"]
     for i, scores in enumerate(rep.per_class):
         accuracy_cell = f"{rep.accuracy:.3f}" if i == 0 else ""
-        lines.append(f"{class_renderer(scores.label)}\t{scores.precision:.3f}"
+        lines.append(f"{scores.label}\t{scores.precision:.3f}"
                      f"\t{scores.recall:.3f}\t{scores.f_score:.3f}\t{accuracy_cell}")
     return "\n".join(lines)
 

@@ -87,6 +87,37 @@ def featurekey_vectorize(char_counts, pos_counts, keys, policy) -> dict:
     return entries
 
 
+# ---------------------------------------------------------------------------
+# Per-row loops over a `SparseMatrix`: one margin at a time, summed in
+# Python, and the two primal objectives built on it.  The library computes
+# all margins of a matrix in one numpy product instead.
+
+def loop_margin(weights, bias, X, r: int) -> float:
+    """Bias plus weight * value for each stored entry of row r, in order."""
+    total = bias
+    for k in range(X.indptr[r], X.indptr[r + 1]):
+        total += weights[X.indices[k]] * X.entries[k]
+    return float(total)
+
+
+def hinge_objective(weights, bias, X, y, c_param: float) -> float:
+    """0.5 (|w|^2 + b^2) + C sum_i max(0, 1 - y_i margin_i)."""
+    reg = 0.5 * (float(weights @ weights) + bias * bias)
+    loss = 0.0
+    for r, label in enumerate(y):
+        loss += max(0.0, 1.0 - label * loop_margin(weights, bias, X, r))
+    return reg + c_param * loss
+
+
+def epsilon_objective(weights, bias, X, targets, c_param: float, epsilon: float) -> float:
+    """0.5 (|w|^2 + b^2) + C sum_i max(0, |margin_i - t_i| - eps)."""
+    reg = 0.5 * (float(weights @ weights) + bias * bias)
+    loss = 0.0
+    for r, t in enumerate(targets):
+        loss += max(0.0, abs(loop_margin(weights, bias, X, r) - t) - epsilon)
+    return reg + c_param * loss
+
+
 def random_hinge_instances(count: int, seed: int, dim: int = 3, max_points: int = 20):
     """Random small classification instances: (entries, labels) pairs.
 
@@ -209,20 +240,15 @@ def random_separable_instance(rng: random.Random, dim: int = 3, margin: float = 
 # library must reproduce their weights, biases and epoch counts bit for bit.
 
 def _reference_rows(X) -> list:
-    """(columns, values) per sample, sorted by column."""
-    rows = []
-    for x in X:
-        ind = np.fromiter(x.entries.keys(), dtype=np.int64, count=len(x.entries))
-        val = np.fromiter(x.entries.values(), dtype=np.float64, count=len(x.entries))
-        order = np.argsort(ind, kind="stable")
-        rows.append((ind[order], val[order]))
-    return rows
+    """(columns, values) per row of a `SparseMatrix`, copied out of it."""
+    bounds = X.indptr.tolist()
+    return [(X.indices[a:b].copy(), X.entries[a:b].copy()) for a, b in zip(bounds, bounds[1:])]
 
 
 def reference_solve_hinge(X, y, cfg):
     """L1-hinge SVM over alpha in [0, C]; returns (weights, bias, epochs,
     whether the last sweep met the tolerance)."""
-    dim = X[0].dimension
+    dim = X.dimension
     rows = _reference_rows(X)
     c = cfg.c_param
     w = np.zeros(dim + 1)
@@ -262,7 +288,7 @@ def reference_solve_hinge(X, y, cfg):
 def reference_solve_eps(X, t, cfg):
     """Epsilon-insensitive regression over beta in [-C, C]; returns
     (weights, bias, epochs, whether the last sweep met the tolerance)."""
-    dim = X[0].dimension
+    dim = X.dimension
     rows = _reference_rows(X)
     c, eps = cfg.c_param, cfg.epsilon
     w = np.zeros(dim + 1)

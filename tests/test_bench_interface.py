@@ -4,6 +4,10 @@
 `cli` look up by name, and `bench/worker.py` reads `key.gram` off
 `experiment.extract_counts`.  These tests install the real tracer on the
 live modules, run a small experiment through it, and uninstall it.
+
+The tracer counts `features.nnz` as `len(result.entries)` of each
+`vectorize` call, and the worker writes margins with `!r`, so the
+matrix keeps its `entries` name and every margin is a Python float.
 """
 
 import importlib.util
@@ -43,7 +47,14 @@ def bindings():
     return names
 
 
-def test_install_trace_uninstall(tmp_path):
+def test_install_trace_uninstall(tmp_path, monkeypatch):
+    built = []
+
+    def recording_vectorize(*args, **kwargs):
+        built.append(features.vectorize(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(experiment, "vectorize", recording_vectorize)
     spans = load_spans()
     before = bindings()
     tracer = spans.Tracer()
@@ -67,6 +78,13 @@ def test_install_trace_uninstall(tmp_path):
                  "features.pos_grams", "features.vocab_size", "features.nnz",
                  "learner.submodels", "learner.epochs", "experiment.samples"):
         assert counts[name] > 0, name
+    assert len(built) == 2  # training and test matrices
+    assert counts["features.nnz"] == sum(int(X.indptr[-1]) for X in built)
+    margins = [margin for _, _, margin in result.outcome.predictions]
+    assert len(margins) == result.outcome.n_test
+    for margin in margins:
+        assert type(margin) is float
+        assert float(repr(margin)) == margin
     seconds = tracer.layer_seconds()
     for name in ("features.char_ngrams", "features.pos_ngrams", "features.vocab",
                  "features.vectorize", "learner.train", "learner.predict"):

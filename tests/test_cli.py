@@ -240,6 +240,48 @@ language = es
                      "--task", "gender"]) == 0
 
 
+PAN_CONFIG = """\
+[experiment]
+task = {task}
+min_df = 1
+
+[train_corpus]
+format = PanTruthDir
+path = pan
+language = es
+"""
+
+
+class TestPredictNumbers:
+    """Every margin and trait value `styloprof predict` writes is the repr
+    of a Python float, so `float()` reads it back exactly."""
+
+    @pytest.mark.parametrize("task", ["gender", "age", "traits"])
+    def test_every_number_parses(self, tmp_path, task):
+        samples = [Sample(id=f"a{i:02d}",
+                          documents=[Document(id=f"a{i:02d}/0", text=f"hola {':)' * (i % 3)} gente {i}")],
+                          labels=LabelSet(gender=("Female", "Male")[i % 2],
+                                          age_band=("18-24", "25-34", "35-49")[i % 3],
+                                          traits={t: 0.05 * (i % 5) - 0.1 for t in "ENACO"}))
+                   for i in range(12)]
+        save_pan_truth_dir(samples, str(tmp_path / "pan"))
+        (tmp_path / "exp.ini").write_text(PAN_CONFIG.format(task=task), encoding="utf-8")
+        assert main(["train", "--config", str(tmp_path / "exp.ini"),
+                     "--model-out", str(tmp_path / "m.model"),
+                     "--vocab-out", str(tmp_path / "m.vocab")]) == 0
+        assert main(["predict", "--model", str(tmp_path / "m.model"),
+                     "--vocab", str(tmp_path / "m.vocab"),
+                     "--corpus-format", "PanTruthDir", "--corpus-path", str(tmp_path / "pan"),
+                     "--language", "es", "--output", str(tmp_path / "pred.tsv")]) == 0
+        lines = (tmp_path / "pred.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 12
+        for line in lines:
+            fields = line.split("\t")
+            numbers = [f.split("=", 1)[1] for f in fields[1:]] if task == "traits" else [fields[2]]
+            for text in numbers:
+                assert repr(float(text)) == text
+
+
 class TestEvaluateErrors:
     def write_pair(self, tmp_path, pred, truth):
         (tmp_path / "p.tsv").write_text(pred, encoding="utf-8")
@@ -279,6 +321,19 @@ class TestEvaluateErrors:
         assert main(["evaluate", "--predictions", str(tmp_path / "p.tsv"),
                      "--truth", str(tmp_path / "t.tsv"), "--task", "traits"]) == 3
         assert "unparsable trait value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["predictions", "truth"])
+    def test_non_finite_trait_value(self, tmp_path, capsys, bad, side):
+        good = "a\tE=0.1\tN=0.1\tA=0.1\tC=0.1\tO=0.1\n"
+        files = {"predictions": tmp_path / "p.tsv", "truth": tmp_path / "t.tsv"}
+        for name, path in files.items():
+            path.write_text(good.replace("E=0.1", f"E={bad}") if name == side else good,
+                            encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(files["predictions"]),
+                     "--truth", str(files["truth"]), "--task", "traits"]) == 3
+        err = capsys.readouterr().err
+        assert f"{files[side]}:1: non-finite trait value {bad!r}" in err
 
     def test_duplicate_trait_field(self, tmp_path, capsys):
         (tmp_path / "p.tsv").write_text(
@@ -359,6 +414,14 @@ def _bad_config(tmp_path):
     _replace_line(tmp_path / "m.model", "config", "config\tgarbage")
 
 
+def _repeated_vocab_key(tmp_path):
+    path = tmp_path / "m.vocab"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    channel, gram, _ = lines[1].split("\t")
+    lines[2] = f"{channel}\t{gram}\t1"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _nan_bias(tmp_path):
     _replace_line(tmp_path / "m.model", "bias", "bias\tnan")
 
@@ -376,11 +439,13 @@ class TestPredictLoaderErrors:
     @pytest.mark.parametrize("corrupt, message", [
         (_bad_vocab_column, "is not an integer"),
         (_joined_char_units, "not one character"),
+        (_repeated_vocab_key, "repeated vocabulary key"),
         (_bad_dim, "malformed dimension"),
         (_bad_config, "malformed config line"),
         (_nan_bias, "non-finite bias"),
         (_inf_weight, "non-finite weight"),
-    ], ids=["vocab-column", "vocab-char-unit", "model-dim", "model-config", "nan-bias", "inf-weight"])
+    ], ids=["vocab-column", "vocab-char-unit", "vocab-repeated-key", "model-dim", "model-config",
+            "nan-bias", "inf-weight"])
     def test_corrupt_file_exits_3(self, tmp_path, capsys, corrupt, message):
         train_gender_model(tmp_path)
         corrupt(tmp_path)

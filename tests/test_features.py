@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from styloprof.features import (
     POS,
     FeatureKey,
     ScalingPolicy,
+    SparseMatrix,
     Vocabulary,
     build_vocabulary,
     char_ngrams,
@@ -29,6 +31,12 @@ from styloprof.experiment import extract_counts, sample_counts
 
 from oracles import (featurekey_sample_counts, featurekey_vectorize,
                      featurekey_vocabulary_keys, ngram_reference, pos_ngram_reference)
+
+
+def row_entries(X, r=0) -> dict:
+    """Row r of a `SparseMatrix` as a column -> value dict."""
+    cols, values = X.row(r)
+    return dict(zip(cols.tolist(), values.tolist()))
 
 # the worked single-word example, frozen from the documented convention
 SELF_DEFENSE_UNIGRAMS = list("self-defense")
@@ -149,24 +157,23 @@ class TestScalingPolicy:
     def test_log2_scaling_exact(self):
         key = FeatureKey(POS, ("N",))
         vocab = Vocabulary(keys=[key], min_df=1)
-        vec = vectorize(Counter(), Counter({("N",): 3}), vocab, ScalingPolicy(LINEAR, LOG2))
-        assert vec.entries[0] == 2.0  # log2(1 + 3)
-        vec = vectorize(Counter(), Counter({("N",): 1}), vocab, ScalingPolicy(LINEAR, LOG2))
-        assert vec.entries[0] == 1.0
+        X = vectorize([(Counter(), Counter({("N",): 3})), (Counter(), Counter({("N",): 1}))],
+                      vocab, ScalingPolicy(LINEAR, LOG2))
+        assert row_entries(X, 0) == {0: 2.0}  # log2(1 + 3)
+        assert row_entries(X, 1) == {0: 1.0}
 
     def test_linear_scaling_identity(self):
         key = FeatureKey(CHAR, ("a",))
         vocab = Vocabulary(keys=[key], min_df=1)
-        vec = vectorize(Counter({"a": 7}), Counter(), vocab, ScalingPolicy(LINEAR, LINEAR))
-        assert vec.entries[0] == 7.0
+        X = vectorize([(Counter({"a": 7}), Counter())], vocab, ScalingPolicy(LINEAR, LINEAR))
+        assert row_entries(X) == {0: 7.0}
 
     def test_channels_scaled_independently(self):
         ck = FeatureKey(CHAR, ("a",))
         pk = FeatureKey(POS, ("N",))
         vocab = Vocabulary(keys=[ck, pk], min_df=1)
-        vec = vectorize(Counter({"a": 3}), Counter({("N",): 3}), vocab, ScalingPolicy(LINEAR, LOG2))
-        assert vec.entries[vocab.column(ck)] == 3.0
-        assert vec.entries[vocab.column(pk)] == 2.0
+        X = vectorize([(Counter({"a": 3}), Counter({("N",): 3}))], vocab, ScalingPolicy(LINEAR, LOG2))
+        assert row_entries(X) == {vocab.column(ck): 3.0, vocab.column(pk): 2.0}
 
 
 class TestVectorize:
@@ -176,19 +183,29 @@ class TestVectorize:
 
     def test_dimension_is_vocab_size(self):
         vocab = self.make_vocab()
-        vec = vectorize(Counter(), Counter(), vocab, ScalingPolicy(LINEAR, LINEAR))
-        assert vec.dimension == len(vocab)
-        assert vec.entries == {}
+        X = vectorize([(Counter(), Counter())], vocab, ScalingPolicy(LINEAR, LINEAR))
+        assert X.dimension == len(vocab)
+        assert len(X) == 1
+        assert row_entries(X) == {}
+
+    def test_one_row_per_sample_columns_sorted(self):
+        vocab = self.make_vocab()
+        samples = [(Counter({"b": 2, "a": 1}), Counter({("N",): 4})), (Counter(), Counter()),
+                   (Counter({"b": 1}), Counter())]
+        X = vectorize(samples, vocab, ScalingPolicy(LINEAR, LINEAR))
+        assert X.indptr.tolist() == [0, 3, 3, 4]
+        assert X.indices.tolist() == [0, 1, 2, 1]
+        assert X.entries.tolist() == [1.0, 2.0, 4.0, 1.0]
 
     def test_oov_grams_dropped(self):
         vocab = self.make_vocab()
-        vec = vectorize(Counter({"z": 5}), Counter({("V",): 5}), vocab, ScalingPolicy(LINEAR, LINEAR))
-        assert vec.entries == {}
+        X = vectorize([(Counter({"z": 5}), Counter({("V",): 5}))], vocab, ScalingPolicy(LINEAR, LINEAR))
+        assert row_entries(X) == {}
 
     def test_empty_vocabulary_rejected(self):
         vocab = Vocabulary(keys=[], min_df=1)
         with pytest.raises(DataError):
-            vectorize(Counter(), Counter(), vocab, ScalingPolicy(LINEAR, LINEAR))
+            vectorize([(Counter(), Counter())], vocab, ScalingPolicy(LINEAR, LINEAR))
 
     @given(
         st.dictionaries(st.sampled_from(["a", "b"]), st.integers(1, 50)),
@@ -198,13 +215,13 @@ class TestVectorize:
     def test_monotone_in_counts(self, counts, scale):
         vocab = self.make_vocab()
         policy = ScalingPolicy(scale, scale)
-        base = vectorize(Counter(counts), Counter(), vocab, policy)
+        base = row_entries(vectorize([(Counter(counts), Counter())], vocab, policy))
         for key in counts:
             bumped = Counter(counts)
             bumped[key] += 1
-            after = vectorize(bumped, Counter(), vocab, policy)
+            after = row_entries(vectorize([(bumped, Counter())], vocab, policy))
             col = vocab.column(FeatureKey(CHAR, tuple(key)))
-            assert after.entries[col] >= base.entries[col]
+            assert after[col] >= base[col]
 
     def test_vocab_lookup_is_a_bijection(self):
         vocab = self.make_vocab()
@@ -212,6 +229,47 @@ class TestVectorize:
         assert sorted(cols) == list(range(len(vocab)))
         for key in vocab.keys:
             assert vocab.keys[vocab.column(key)] == key
+
+
+class TestSparseMatrix:
+    """The constructor is the one place the layout is checked."""
+
+    def test_from_rows_sorts_columns(self):
+        X = SparseMatrix.from_rows([{2: 1.5, 0: -1.0}, {}, {1: 3.0}], 3)
+        assert len(X) == 3
+        assert X.indptr.tolist() == [0, 2, 2, 3]
+        assert X.indices.tolist() == [0, 2, 1]
+        assert X.entries.tolist() == [-1.0, 1.5, 3.0]
+        cols, values = X.row(0)
+        assert cols.tolist() == [0, 2] and values.tolist() == [-1.0, 1.5]
+        assert np.shares_memory(values, X.entries)
+
+    def test_no_rows(self):
+        assert len(SparseMatrix.from_rows([], 4)) == 0
+
+    @pytest.mark.parametrize("indptr, indices, entries, dimension, message", [
+        ([0, 1], [0], [float("nan")], 1, "non-finite"),
+        ([0, 1], [0], [float("inf")], 1, "non-finite"),
+        ([0, 1], [5], [1.0], 2, "column"),
+        ([0, 1], [-1], [1.0], 2, "column"),
+        ([0, 2], [1, 0], [1.0, 1.0], 2, "ascending"),
+        ([0, 2], [1, 1], [1.0, 1.0], 2, "ascending"),
+        ([0, 2, 1], [0, 1], [1.0, 1.0], 2, "row pointers"),
+        ([1, 2], [0, 1], [1.0, 1.0], 2, "row pointers"),
+        ([0, 3], [0, 1], [1.0, 1.0], 2, "row pointers"),
+        ([0, 2], [0, 1], [1.0], 2, "row pointers"),
+        ([], [], [], 2, "row pointers"),
+        ([0, 0], [], [], 0, "dimension"),
+    ], ids=["nan", "inf", "column-high", "column-negative", "unsorted", "repeated",
+            "indptr-decreasing", "indptr-start", "indptr-end", "short-entries", "no-indptr",
+            "no-columns"])
+    def test_malformed_layout_rejected(self, indptr, indices, entries, dimension, message):
+        with pytest.raises(DataError, match=message):
+            SparseMatrix(indptr, indices, entries, dimension)
+
+    def test_columns_restart_at_each_row(self):
+        X = SparseMatrix([0, 2, 4], [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0], 2)
+        assert X.row(1)[0].tolist() == [0, 1]
 
 
 class TestBuildVocabulary:
@@ -326,6 +384,14 @@ class TestVocabularySerialization:
         with pytest.raises(DataError, match="out of order"):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("keys", [
+        [FeatureKey(CHAR, ("a",)), FeatureKey(CHAR, ("a",))],
+        [FeatureKey(POS, ("N", "V")), FeatureKey(POS, ("N", "V"))],
+    ], ids=["char", "pos"])
+    def test_repeated_key_rejected(self, keys):
+        with pytest.raises(DataError, match="repeated"):
+            Vocabulary(keys=keys, min_df=1)
+
     def test_bad_escape_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text(
@@ -367,8 +433,8 @@ corpus_docs = st.lists(
 
 class TestPlainKeysMatchFeatureKeyReference:
     """Plain per-channel keys give what FeatureKey keys everywhere gave:
-    the same vocabulary keys, file bytes and hash, and the same vectors,
-    entry order included (margins sum in that order)."""
+    the same vocabulary keys, file bytes and hash, and the same rows, each
+    the reference's entries in column order."""
 
     @given(corpus=st.lists(corpus_docs, min_size=1, max_size=6), min_df=st.integers(1, 3),
            char_scale=st.sampled_from([LINEAR, LOG2]), pos_scale=st.sampled_from([LINEAR, LOG2]))
@@ -400,7 +466,9 @@ class TestPlainKeysMatchFeatureKeyReference:
             return
         loaded = Vocabulary.load(folder / "new.tsv")
         policy = ScalingPolicy(char_scale, pos_scale)
-        for (chars, tags), (ref_chars, ref_tags) in zip(counts, ref_counts):
-            want = list(featurekey_vectorize(ref_chars, ref_tags, ref_keys, policy).items())
-            assert list(vectorize(chars, tags, vocab, policy).entries.items()) == want
-            assert list(vectorize(chars, tags, loaded, policy).entries.items()) == want
+        matrices = [vectorize(counts, vocab, policy), vectorize(counts, loaded, policy)]
+        for r, (ref_chars, ref_tags) in enumerate(ref_counts):
+            want = sorted(featurekey_vectorize(ref_chars, ref_tags, ref_keys, policy).items())
+            for X in matrices:
+                cols, values = X.row(r)
+                assert list(zip(cols.tolist(), values.tolist())) == want

@@ -8,34 +8,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from styloprof.errors import DataError
-from styloprof.features import ScalingPolicy, SparseVector
+from styloprof.features import ScalingPolicy, SparseMatrix
 from styloprof.learner import (
     REST_LABEL,
     LinearModel,
     ModelBundle,
     OneVsRestModel,
     TrainConfig,
-    epsilon_objective,
-    hinge_objective,
     load_model,
-    ovr_margins,
-    predict_binary,
-    predict_ovr,
-    predict_traits,
+    margins,
+    predict,
     save_model,
     train_binary,
     train_ovr,
     train_traits,
 )
 
-from oracles import random_separable_instance, reference_solve_eps, reference_solve_hinge
+from oracles import (epsilon_objective, hinge_objective, loop_margin, random_separable_instance,
+                     reference_solve_eps, reference_solve_hinge)
 
 TIGHT = TrainConfig(c_param=1.0, epochs=4000, tolerance=1e-12, seed=0)
 
 
-def sv(values, dim=None):
-    entries = {i: float(v) for i, v in enumerate(values) if v}
-    return SparseVector(entries, dim or len(values))
+def dense(*vectors, dim=None):
+    """A matrix with one row per dense vector, zeros left out."""
+    return SparseMatrix.from_rows([{i: float(v) for i, v in enumerate(vec) if v} for vec in vectors],
+                                  dim or max(len(vec) for vec in vectors))
+
+
+def labels_of(model, X):
+    return [label for label, _ in predict(model, X)]
 
 
 def tight(c_param=1.0, seed=0, epsilon=0.1):
@@ -61,15 +63,15 @@ class TestTrainConfig:
 
 class TestTrainBinary:
     def test_separable_four_points(self):
-        X = [sv([0, 1]), sv([0, 2]), sv([3, 0]), sv([4, 0])]
+        X = dense([0, 1], [0, 2], [3, 0], [4, 0])
         y = [1, 1, -1, -1]
         model = train_binary(X, y, TrainConfig())
-        assert [predict_binary(model, x)[0] for x in X] == y
+        assert labels_of(model, X) == y
 
     def test_two_symmetric_points_analytic(self):
         # +1 at (1, 0), -1 at (-1, 0), C=10: by symmetry b=0 and the
         # objective 0.5 w^2 + 20 max(0, 1-w) is minimized at w=(1, 0)
-        X = [sv([1, 0]), sv([-1, 0])]
+        X = dense([1, 0], [-1, 0])
         model = train_binary(X, [1, -1], tight(c_param=10.0))
         assert model.weights[0] == pytest.approx(1.0, abs=1e-9)
         assert model.weights[1] == pytest.approx(0.0, abs=1e-9)
@@ -82,7 +84,7 @@ class TestTrainBinary:
         # of the two mirrored points stacked; simpler: the margin constraint
         # is active with w=0.4, b=0 and objective 0.08 + hinge... verify
         # numerically against the closed form of the one-variable problem
-        X = [sv([2.0]), sv([-2.0])]
+        X = dense([2.0], [-2.0])
         model = train_binary(X, [1, -1], tight())
         # symmetric pair: f(w) = w^2/2 + 2 max(0, 1-2w) minimized at w=1/2
         assert model.weights[0] == pytest.approx(0.5, abs=1e-9)
@@ -91,7 +93,7 @@ class TestTrainBinary:
     def test_xor_objective_matches_analytic_optimum(self):
         # in the region where all hinges are active the objective reduces
         # to u^2 + b^2/2 + 4C, so w=0, b=0 is optimal with value 4C
-        X = [sv([0, 0], 2), sv([1, 1]), sv([0, 1], 2), sv([1, 0], 2)]
+        X = dense([0, 0], [1, 1], [0, 1], [1, 0])
         y = [1, 1, -1, -1]
         model = train_binary(X, y, tight())
         obj = hinge_objective(model.weights, model.bias, X, y, 1.0)
@@ -99,7 +101,7 @@ class TestTrainBinary:
 
     def test_deterministic(self):
         rng = random.Random(11)
-        X = [SparseVector({j: rng.uniform(-2, 2) for j in range(4)}, 4) for _ in range(20)]
+        X = SparseMatrix.from_rows([{j: rng.uniform(-2, 2) for j in range(4)} for _ in range(20)], 4)
         y = [rng.choice([1, -1]) for _ in range(20)]
         y[0], y[1] = 1, -1
         cfg = TrainConfig(seed=33)
@@ -110,7 +112,7 @@ class TestTrainBinary:
         assert a.epoch_objectives == b.epoch_objectives
 
     def test_seed_may_change_path_not_quality(self):
-        X = [sv([0, 1]), sv([0, 2]), sv([3, 0]), sv([4, 0])]
+        X = dense([0, 1], [0, 2], [3, 0], [4, 0])
         y = [1, 1, -1, -1]
         obj = [
             hinge_objective(m.weights, m.bias, X, y, 1.0)
@@ -123,10 +125,10 @@ class TestTrainBinary:
         rng = random.Random(202)
         for _ in range(10):
             rows, labels, dim = random_separable_instance(rng)
-            X = [SparseVector(e, dim) for e in rows]
+            X = SparseMatrix.from_rows(rows, dim)
             cfg = TrainConfig(c_param=c_param, epochs=2000, tolerance=1e-8, seed=1)
             model = train_binary(X, labels, cfg)
-            assert [predict_binary(model, x)[0] for x in X] == labels
+            assert labels_of(model, X) == labels
 
     def test_scale_covariance_on_origin_symmetric_data(self):
         # for every (x, +1) the mirrored (-x, -1) is present, so the optimal
@@ -141,12 +143,11 @@ class TestTrainBinary:
             rows.append({k: -v for k, v in entries.items()})
             labels.append(-1)
         s = 4.0
-        plain = [SparseVector(e, 2) for e in rows]
-        scaled = [SparseVector({k: s * v for k, v in e.items()}, 2) for e in rows]
+        plain = SparseMatrix.from_rows(rows, 2)
+        scaled = SparseMatrix.from_rows([{k: s * v for k, v in e.items()} for e in rows], 2)
         m1 = train_binary(plain, labels, tight(c_param=2.0, seed=3))
         m2 = train_binary(scaled, labels, tight(c_param=2.0 / s**2, seed=3))
-        assert [predict_binary(m1, x)[0] for x in plain] == \
-               [predict_binary(m2, x)[0] for x in scaled]
+        assert labels_of(m1, plain) == labels_of(m2, scaled)
         assert m2.weights[0] == pytest.approx(m1.weights[0] / s, rel=1e-6)
 
     def test_converged_final_objective_is_the_minimum(self):
@@ -158,8 +159,8 @@ class TestTrainBinary:
         converged = 0
         for trial in range(30):
             n = rng.randint(3, 12)
-            X = [SparseVector({j: rng.uniform(-3, 3) for j in range(3)
-                               if rng.random() < 0.8}, 3) for _ in range(n)]
+            X = SparseMatrix.from_rows([{j: rng.uniform(-3, 3) for j in range(3)
+                                        if rng.random() < 0.8} for _ in range(n)], 3)
             y = [rng.choice([1, -1]) for _ in range(n)]
             if len(set(y)) == 1:
                 y[0] = -y[0]
@@ -174,14 +175,13 @@ class TestTrainBinary:
         assert converged >= 25
 
     def test_custom_labels(self):
-        X = [sv([1.0]), sv([-1.0])]
+        X = dense([1.0], [-1.0])
         model = train_binary(X, [1, -1], tight(), label_positive="Female",
                              label_negative="Male")
-        assert predict_binary(model, sv([2.0]))[0] == "Female"
-        assert predict_binary(model, sv([-2.0]))[0] == "Male"
+        assert labels_of(model, dense([2.0], [-2.0])) == ["Female", "Male"]
 
     def test_input_validation(self):
-        X = [sv([1.0]), sv([-1.0])]
+        X = dense([1.0], [-1.0])
         with pytest.raises(DataError, match="single class"):
             train_binary(X, [1, 1], TrainConfig())
         with pytest.raises(DataError, match="\\+1 or -1"):
@@ -189,15 +189,7 @@ class TestTrainBinary:
         with pytest.raises(DataError, match="labels"):
             train_binary(X, [1], TrainConfig())
         with pytest.raises(DataError, match="two training samples"):
-            train_binary([sv([1.0])], [1], TrainConfig())
-        with pytest.raises(DataError, match="dimension mismatch"):
-            train_binary([sv([1.0]), SparseVector({0: 1.0}, 3)], [1, -1], TrainConfig())
-        with pytest.raises(DataError, match="non-finite"):
-            train_binary([SparseVector({0: float("nan")}, 1), sv([1.0])], [1, -1],
-                         TrainConfig())
-        with pytest.raises(DataError, match="column"):
-            train_binary([SparseVector({5: 1.0}, 2), sv([1.0], 2)], [1, -1],
-                         TrainConfig())
+            train_binary(dense([1.0]), [1], TrainConfig())
 
 
 class TestPredictBinary:
@@ -206,35 +198,34 @@ class TestPredictBinary:
                            c_param=1.0, label_positive="pos", label_negative="neg")
 
     def test_margin_is_dot_plus_bias(self):
-        label, margin = predict_binary(self.model([1.0, 0.0], 0.0), sv([2, 5]))
+        [(label, margin)] = predict(self.model([1.0, 0.0], 0.0), dense([2, 5]))
         assert label == "pos"
         assert margin == 2.0
 
     def test_zero_vector_bias_only(self):
-        label, margin = predict_binary(self.model([1.0, 1.0], -1.0),
-                                       SparseVector({}, 2))
+        [(label, margin)] = predict(self.model([1.0, 1.0], -1.0), dense([0, 0]))
         assert label == "neg"
         assert margin == -1.0
 
     def test_boundary_goes_positive(self):
-        label, margin = predict_binary(self.model([1.0], 0.0), SparseVector({}, 1))
+        [(label, margin)] = predict(self.model([1.0], 0.0), dense([0]))
         assert margin == 0.0
         assert label == "pos"
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError, match="dimension"):
-            predict_binary(self.model([1.0], 0.0), sv([1, 2]))
+            predict(self.model([1.0], 0.0), dense([1, 2]))
 
 
 class TestOneVsRest:
     def three_class_data(self):
         # three well-separated clusters on the axes
-        X, y = [], []
+        rows, y = [], []
         for cls, axis in (("a", 0), ("b", 1), ("c", 2)):
             for offset in (2.0, 2.5, 3.0):
-                X.append(SparseVector({axis: offset}, 3))
+                rows.append({axis: offset})
                 y.append(cls)
-        return X, y
+        return SparseMatrix.from_rows(rows, 3), y
 
     def test_three_classes_three_models(self):
         X, y = self.three_class_data()
@@ -245,29 +236,28 @@ class TestOneVsRest:
             assert sub.label_negative == REST_LABEL
 
     def test_classes_ordered_by_first_appearance(self):
-        X = [sv([1.0]), sv([2.0]), sv([-1.0]), sv([-2.0])]
+        X = dense([1.0], [2.0], [-1.0], [-2.0])
         model = train_ovr(X, ["zeta", "alpha", "zeta", "alpha"], tight())
         assert model.classes == ["zeta", "alpha"]
 
     def test_training_points_recovered(self):
         X, y = self.three_class_data()
         model = train_ovr(X, y, tight())
-        assert [predict_ovr(model, x) for x in X] == y
+        assert labels_of(model, X) == y
 
     def test_two_class_ovr_equals_direct_binary(self):
         rng = random.Random(31)
-        X = [SparseVector({j: rng.uniform(-2, 2) for j in range(3)}, 3)
-             for _ in range(16)]
+        X = SparseMatrix.from_rows([{j: rng.uniform(-2, 2) for j in range(3)}
+                                    for _ in range(16)], 3)
         y = ["F" if rng.random() < 0.5 else "M" for _ in range(16)]
         y[0], y[1] = "F", "M"
         cfg = tight(seed=5)
         ovr = train_ovr(X, y, cfg)
         direct = train_binary(X, [1 if lab == "F" else -1 for lab in y], cfg,
                               label_positive="F", label_negative="M")
-        held_out = [SparseVector({j: rng.uniform(-3, 3) for j in range(3)}, 3)
-                    for _ in range(50)]
-        for x in held_out:
-            assert predict_ovr(ovr, x) == predict_binary(direct, x)[0]
+        held_out = SparseMatrix.from_rows([{j: rng.uniform(-3, 3) for j in range(3)}
+                                           for _ in range(50)], 3)
+        assert labels_of(ovr, held_out) == labels_of(direct, held_out)
 
     def test_tie_breaks_to_earliest_class(self):
         sub = lambda w, b, cls: LinearModel(weights=np.array(w), bias=b, c_param=1.0,
@@ -276,17 +266,19 @@ class TestOneVsRest:
             classes=["x", "y", "z"],
             models=[sub([0.0], 0.3, "x"), sub([0.0], 0.3, "y"), sub([0.0], 0.1, "z")],
         )
-        assert ovr_margins(model, sv([1.0])) == [0.3, 0.3, 0.1]
-        assert predict_ovr(model, sv([1.0])) == "x"
+        X = dense([1.0])
+        assert margins(X, np.stack([m.weights for m in model.models]),
+                       [m.bias for m in model.models]).tolist() == [[0.3, 0.3, 0.1]]
+        assert predict(model, X) == [("x", 0.3)]
 
     def test_all_margins_negative_still_argmax(self):
         sub = lambda b, cls: LinearModel(weights=np.zeros(1), bias=b, c_param=1.0,
                                          label_positive=cls, label_negative=REST_LABEL)
         model = OneVsRestModel(classes=["x", "y"], models=[sub(-0.9, "x"), sub(-0.2, "y")])
-        assert predict_ovr(model, sv([1.0])) == "y"
+        assert predict(model, dense([1.0])) == [("y", -0.2)]
 
     def test_explicit_class_list_checked(self):
-        X = [sv([1.0]), sv([-1.0])]
+        X = dense([1.0], [-1.0])
         with pytest.raises(DataError, match="absent"):
             train_ovr(X, ["a", "b"], tight(), classes=["a", "b", "c"])
         with pytest.raises(DataError, match="outside"):
@@ -294,12 +286,12 @@ class TestOneVsRest:
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
-            train_ovr([sv([1.0]), sv([2.0])], ["a", "a"], tight())
+            train_ovr(dense([1.0], [2.0]), ["a", "a"], tight())
 
 
 class TestTraitRegression:
     def zeros(self, n, dim=2):
-        return [SparseVector({}, dim) for _ in range(n)]
+        return SparseMatrix.from_rows([{}] * n, dim)
 
     def test_constant_targets_within_tube(self):
         # with x=0 the fit reduces to the bias; targets 0.2, eps 0.1:
@@ -309,7 +301,7 @@ class TestTraitRegression:
         for name in "ENACO":
             assert reg.biases[name] == pytest.approx(0.1, abs=1e-9)
             assert not reg.weights[name].any()
-        preds = predict_traits(reg, SparseVector({}, 2))
+        [preds] = predict(reg, self.zeros(1))
         assert all(0.1 <= preds[n] <= 0.3 for n in "ENACO")
 
     def test_wide_tube_keeps_zero_weights(self):
@@ -322,9 +314,9 @@ class TestTraitRegression:
             assert not reg.weights[name].any()
 
     def test_single_sample_fits_within_epsilon(self):
-        x = [sv([1.0, 2.0])]
+        x = dense([1.0, 2.0])
         reg = train_traits(x, [dict.fromkeys("ENACO", 0.4)], tight(epsilon=0.05))
-        preds = predict_traits(reg, x[0])
+        [preds] = predict(reg, x)
         for name in "ENACO":
             assert abs(preds[name] - 0.4) <= 0.05 + 1e-9
 
@@ -334,7 +326,7 @@ class TestTraitRegression:
 
     def test_deterministic(self):
         rng = random.Random(3)
-        X = [SparseVector({j: rng.uniform(-1, 1) for j in range(3)}, 3) for _ in range(10)]
+        X = SparseMatrix.from_rows([{j: rng.uniform(-1, 1) for j in range(3)} for _ in range(10)], 3)
         targets = [dict.fromkeys("ENACO", round(rng.uniform(-0.5, 0.5), 3)) for _ in range(10)]
         cfg = TrainConfig(seed=8)
         a = train_traits(X, targets, cfg)
@@ -348,10 +340,10 @@ class TestTraitRegression:
                            [dict.fromkeys("ENACO", 0.0)] * 2, tight())
         reg.weights["E"] = np.array([10.0])
         reg.biases["E"] = 0.0
-        preds = predict_traits(reg, sv([1.0]))
+        [preds] = predict(reg, dense([1.0]))
         assert preds["E"] == 0.5
         reg.weights["E"] = np.array([-10.0])
-        assert predict_traits(reg, sv([1.0]))["E"] == -0.5
+        assert predict(reg, dense([1.0]))[0]["E"] == -0.5
 
     def test_target_validation(self):
         with pytest.raises(DataError, match="outside"):
@@ -363,7 +355,7 @@ class TestTraitRegression:
 
 
 def fit_binary_bundle(vocab_hash="h" * 64):
-    X = [sv([0, 1]), sv([0, 2]), sv([3, 0]), sv([4, 0])]
+    X = dense([0, 1], [0, 2], [3, 0], [4, 0])
     y = [1, 1, -1, -1]
     model = train_binary(X, y, TrainConfig(), label_positive="Female",
                          label_negative="Male")
@@ -375,8 +367,8 @@ def fit_binary_bundle(vocab_hash="h" * 64):
 class TestModelFiles:
     def random_inputs(self, dim, n=100, seed=17):
         rng = random.Random(seed)
-        return [SparseVector({j: rng.uniform(-4, 4) for j in range(dim)
-                              if rng.random() < 0.7}, dim) for _ in range(n)]
+        return SparseMatrix.from_rows([{j: rng.uniform(-4, 4) for j in range(dim)
+                                        if rng.random() < 0.7} for _ in range(n)], dim)
 
     def test_binary_round_trip_identical_predictions(self, tmp_path):
         bundle = fit_binary_bundle()
@@ -387,11 +379,11 @@ class TestModelFiles:
         assert loaded.vocab_hash == bundle.vocab_hash
         assert loaded.policy == bundle.policy
         assert loaded.config == bundle.config
-        for x in self.random_inputs(2):
-            assert predict_binary(loaded.model, x) == predict_binary(bundle.model, x)
+        X = self.random_inputs(2)
+        assert predict(loaded.model, X) == predict(bundle.model, X)
 
     def test_ovr_round_trip(self, tmp_path):
-        X = [sv([2, 0]), sv([2.5, 0]), sv([0, 2]), sv([0, 2.5])]
+        X = dense([2, 0], [2.5, 0], [0, 2], [0, 2.5])
         y = ["18-24", "18-24", "25-34", "25-34"]
         model = train_ovr(X, y, tight())
         bundle = ModelBundle(kind="ovr", vocab_hash="", policy=ScalingPolicy("linear", "linear"),
@@ -399,14 +391,17 @@ class TestModelFiles:
         path = tmp_path / "m.model"
         save_model(bundle, path)
         loaded = load_model(path)
+        assert loaded.vocab_hash == ""
         assert loaded.model.classes == model.classes
-        for x in self.random_inputs(2):
-            assert predict_ovr(loaded.model, x) == predict_ovr(model, x)
-            assert ovr_margins(loaded.model, x) == ovr_margins(model, x)
+        X = self.random_inputs(2)
+        assert predict(loaded.model, X) == predict(model, X)
+        for sub, loaded_sub in zip(model.models, loaded.model.models):
+            assert np.array_equal(margins(X, loaded_sub.weights, [loaded_sub.bias]),
+                                  margins(X, sub.weights, [sub.bias]))
 
     def test_traits_round_trip(self, tmp_path):
         rng = random.Random(2)
-        X = [SparseVector({j: rng.uniform(-1, 1) for j in range(3)}, 3) for _ in range(8)]
+        X = SparseMatrix.from_rows([{j: rng.uniform(-1, 1) for j in range(3)} for _ in range(8)], 3)
         targets = [dict.fromkeys("ENACO", round(rng.uniform(-0.4, 0.4), 2)) for _ in range(8)]
         model = train_traits(X, targets, tight())
         bundle = ModelBundle(kind="traits", vocab_hash="abc",
@@ -416,8 +411,8 @@ class TestModelFiles:
         save_model(bundle, path)
         loaded = load_model(path)
         assert loaded.model.epsilon == model.epsilon
-        for x in self.random_inputs(3):
-            assert predict_traits(loaded.model, x) == predict_traits(model, x)
+        X = self.random_inputs(3)
+        assert predict(loaded.model, X) == predict(model, X)
 
     def test_round_trip_gzip(self, tmp_path):
         bundle = fit_binary_bundle()
@@ -471,7 +466,7 @@ class TestModelFiles:
             load_model(path)
 
     def test_objective_helpers_match_after_reload(self, tmp_path):
-        X = [sv([0, 1]), sv([0, 2]), sv([3, 0]), sv([4, 0])]
+        X = dense([0, 1], [0, 2], [3, 0], [4, 0])
         y = [1, 1, -1, -1]
         bundle = fit_binary_bundle()
         path = tmp_path / "m.model"
@@ -483,19 +478,20 @@ class TestModelFiles:
 
     def test_epsilon_objective_helper(self):
         w = np.array([0.0])
-        assert epsilon_objective(w, 0.1, [SparseVector({}, 1)], [0.2], 1.0, 0.05) == \
+        assert epsilon_objective(w, 0.1, dense([0]), [0.2], 1.0, 0.05) == \
             pytest.approx(0.5 * 0.01 + 0.05, abs=1e-12)
 
 
 class TestEpochObjectives:
-    """The per-epoch objectives, computed over the flat layout, agree with
-    the per-sample loops of `hinge_objective` and `epsilon_objective`."""
+    """The per-epoch objectives, computed from one `margins` product, agree
+    with the per-sample loops of `oracles.hinge_objective` and
+    `oracles.epsilon_objective`."""
 
     def rows(self, rng, n, dim):
         # every third sample empty, so rows without entries are covered
-        return [SparseVector({} if i % 3 == 0 else
-                             {j: rng.uniform(-2, 2) for j in range(dim) if rng.random() < 0.6}, dim)
-                for i in range(n)]
+        return SparseMatrix.from_rows(
+            [{} if i % 3 == 0 else {j: rng.uniform(-2, 2) for j in range(dim) if rng.random() < 0.6}
+             for i in range(n)], dim)
 
     def test_hinge(self):
         rng = random.Random(21)
@@ -511,7 +507,7 @@ class TestEpochObjectives:
         rng = random.Random(22)
         for trial in range(10):
             X = self.rows(rng, rng.randint(4, 30), 5)
-            targets = [{name: rng.uniform(-0.5, 0.5) for name in "ENACO"} for _ in X]
+            targets = [{name: rng.uniform(-0.5, 0.5) for name in "ENACO"} for _ in range(len(X))]
             cfg = TrainConfig(c_param=rng.uniform(0.1, 5), epochs=rng.randint(1, 30), seed=trial)
             reg = train_traits(X, targets, cfg)
             for name in "ENACO":
@@ -551,7 +547,7 @@ def solver_problems(draw):
                       tolerance=draw(st.sampled_from([1e-12, 1e-4, 0.5])),
                       seed=draw(st.integers(0, 2**16)),
                       epsilon=draw(st.sampled_from([0.0, 0.05, 0.3])))
-    return [SparseVector(r, dim) for r in rows], labels, targets, cfg
+    return SparseMatrix.from_rows(rows, dim), labels, targets, cfg
 
 
 class TestSolverMatchesReferenceLoops:
@@ -583,3 +579,47 @@ class TestSolverMatchesReferenceLoops:
             self.assert_same(reg.weights[name], reg.biases[name], reg.epoch_objectives[name],
                              reg.converged[name],
                              reference_solve_eps(X, [row[j] for row in targets], cfg))
+
+
+class TestPredictMatchesLoopMargins:
+    """`predict` decodes one `margins` product per model.  Its margins agree
+    with the per-row loop of `oracles.loop_margin` and are Python floats,
+    and each kind decodes them as documented."""
+
+    def assert_close(self, got, weights, bias, X, r):
+        want = loop_margin(weights, bias, X, r)
+        cols, values = X.row(r)
+        scale = abs(bias) + float(np.abs(weights[cols] * values).sum())
+        assert type(got) is float
+        assert abs(got - want) <= 1e-12 * max(1.0, scale)
+        return want
+
+    @given(solver_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_binary_ovr_and_traits(self, problem):
+        X, labels, targets, cfg = problem
+        binary = train_binary(X, [1 if lab == "a" else -1 for lab in labels], cfg)
+        for r, (label, margin) in enumerate(predict(binary, X)):
+            self.assert_close(margin, binary.weights, binary.bias, X, r)
+            assert label == (1 if margin >= 0.0 else -1)
+
+        ovr = train_ovr(X, labels, cfg)
+        for r, (label, margin) in enumerate(predict(ovr, X)):
+            best = ovr.models[ovr.classes.index(label)]
+            want = self.assert_close(margin, best.weights, best.bias, X, r)
+            assert all(loop_margin(sub.weights, sub.bias, X, r) <= want + 1e-9 * max(1.0, abs(want))
+                       for sub in ovr.models)
+
+        reg = train_traits(X, targets, cfg)
+        for r, values in enumerate(predict(reg, X)):
+            for name in "ENACO":
+                raw = loop_margin(reg.weights[name], reg.biases[name], X, r)
+                assert type(values[name]) is float
+                assert values[name] == pytest.approx(min(max(raw, -0.5), 0.5), rel=1e-12, abs=1e-12)
+
+    def test_ovr_takes_the_first_of_tied_classes(self):
+        sub = lambda b, cls: LinearModel(weights=np.zeros(1), bias=b, c_param=1.0,
+                                         label_positive=cls, label_negative=REST_LABEL)
+        model = OneVsRestModel(classes=["x", "y", "z"],
+                               models=[sub(0.1, "x"), sub(0.4, "y"), sub(0.4, "z")])
+        assert predict(model, dense([1.0], [0.0])) == [("y", 0.4), ("y", 0.4)]

@@ -1,0 +1,207 @@
+"""Line-level fuzzing of the vocabulary and model loaders.
+
+A saved vocabulary and saved binary, one-vs-rest and trait models are
+mutated line by line (lines deleted, repeated, swapped or inserted, one
+field or one space-separated word replaced).  Whatever the mutation,
+`Vocabulary.load` and `load_model` either return an object or raise a
+`StyloprofError`; nothing else escapes.  A loaded model holds only finite
+numbers, anything loaded saves and loads back unchanged, and a
+non-finite number in any bias or weight is rejected.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from styloprof.corpus import TRAIT_NAMES
+from styloprof.errors import DataError, StyloprofError
+from styloprof.features import (CHAR, POS, FeatureKey, ScalingPolicy, SparseMatrix,
+                                Vocabulary)
+from styloprof.learner import (ModelBundle, TrainConfig, load_model, save_model, train_binary,
+                               train_ovr, train_traits)
+
+TOKENS = ["nan", "NaN", "inf", "-inf", "1e999", "-1e999", "", "0", "-0.0", "1", "2.5", "-3",
+          "i:3", "s:x", "i:x", "abc", "char", "pos", "bias", "weights", "dim", "=", "c_param=nan",
+          "epochs=0", "tolerance=inf", "seed=1.5", "linear", "log2", "E", "␟", "\\", "\\q", "a␟b"]
+NON_FINITE = ["nan", "inf", "-inf", "1e999", "-1e999", "NaN", "Infinity"]
+KINDS = ("binary", "ovr", "traits")
+
+token = st.one_of(st.sampled_from(TOKENS), st.text(alphabet="ab01.-=:␟\\\t ", max_size=6))
+mutation = st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 50)),
+    st.tuples(st.just("repeat"), st.integers(0, 50)),
+    st.tuples(st.just("swap"), st.integers(0, 50), st.integers(0, 50)),
+    st.tuples(st.just("insert"), st.integers(0, 50), token),
+    st.tuples(st.just("field"), st.integers(0, 50), st.integers(0, 8), token),
+    st.tuples(st.just("word"), st.integers(0, 50), st.integers(0, 8), st.integers(0, 50), token),
+)
+
+
+def mutate(lines: list[str], op) -> list[str]:
+    lines = list(lines)
+    if not lines:
+        return [op[-1]] if op[0] == "insert" else lines
+    i = op[1] % len(lines)
+    if op[0] == "delete":
+        del lines[i]
+    elif op[0] == "repeat":
+        lines.insert(i, lines[i])
+    elif op[0] == "swap":
+        j = op[2] % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op[0] == "insert":
+        lines.insert(i, op[2])
+    else:
+        fields = lines[i].split("\t")
+        k = op[2] % len(fields)
+        if op[0] == "field":
+            fields[k] = op[3]
+        else:
+            words = fields[k].split(" ")
+            words[op[3] % len(words)] = op[4]
+            fields[k] = " ".join(words)
+        lines[i] = "\t".join(fields)
+    return lines
+
+
+def write(path, lines: list[str]) -> None:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def load_or_reject(loader, path):
+    """The loaded object, or None when the loader raised a StyloprofError;
+    any other exception fails the test."""
+    try:
+        return loader(path)
+    except StyloprofError:
+        return None
+
+
+def vectors(bundle: ModelBundle) -> list[tuple[float, np.ndarray]]:
+    model = bundle.model
+    if bundle.kind == "binary":
+        return [(model.bias, model.weights)]
+    if bundle.kind == "ovr":
+        return [(m.bias, m.weights) for m in model.models]
+    return [(model.biases[name], model.weights[name]) for name in TRAIT_NAMES]
+
+
+def labels(bundle: ModelBundle):
+    model = bundle.model
+    if bundle.kind == "binary":
+        return [model.label_positive, model.label_negative]
+    return list(model.classes) if bundle.kind == "ovr" else []
+
+
+def assert_same_bundle(a: ModelBundle, b: ModelBundle) -> None:
+    assert (a.kind, a.vocab_hash, a.policy, a.config) == (b.kind, b.vocab_hash, b.policy, b.config)
+    assert labels(a) == labels(b)
+    assert [type(label) for label in labels(a)] == [type(label) for label in labels(b)]
+    for (bias_a, w_a), (bias_b, w_b) in zip(vectors(a), vectors(b), strict=True):
+        assert repr(bias_a) == repr(bias_b)
+        assert w_a.tobytes() == w_b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """Lines of a saved vocabulary and of one saved model per kind."""
+    folder = tmp_path_factory.mktemp("saved")
+    vocab = Vocabulary(keys=[FeatureKey(CHAR, ("_", "a")), FeatureKey(CHAR, ("\\",)),
+                             FeatureKey(CHAR, ("b", "␟", "_")), FeatureKey(POS, ("N",)),
+                             FeatureKey(POS, ("REF@USERNAME", "V"))], min_df=2)
+    vocab.save(folder / "v.tsv")
+    X = SparseMatrix.from_rows([{0: 1.0, 3: 2.0}, {1: 1.5}, {2: -1.0, 4: 0.5}, {0: 3.0, 4: 1.0},
+                                {}, {1: 0.25, 2: 2.0}], len(vocab))
+    cfg = TrainConfig(c_param=0.7, epochs=30, tolerance=1e-3, seed=4, epsilon=0.05)
+    models = {
+        "binary": train_binary(X, [1, -1, 1, -1, 1, -1], cfg, "Female", "Male"),
+        "ovr": train_ovr(X, ["18-24", "25-34", 7, "18-24", 7, "25-34"], cfg),
+        "traits": train_traits(X, [[0.1 * (r % 4) - 0.2] * 5 for r in range(6)], cfg),
+    }
+    lines = {"vocab": (folder / "v.tsv").read_text(encoding="utf-8").splitlines()}
+    for kind, model in models.items():
+        bundle = ModelBundle(kind=kind, vocab_hash=vocab.content_hash(),
+                             policy=ScalingPolicy("linear", "log2"), config=cfg, model=model)
+        save_model(bundle, folder / f"{kind}.model")
+        lines[kind] = (folder / f"{kind}.model").read_text(encoding="utf-8").splitlines()
+    return folder, lines
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@given(ops=st.lists(mutation, min_size=1, max_size=3))
+@FUZZ
+def test_mutated_vocabulary(saved, ops):
+    folder, lines = saved
+    text = lines["vocab"]
+    for op in ops:
+        text = mutate(text, op)
+    write(folder / "mutated.tsv", text)
+    vocab = load_or_reject(Vocabulary.load, folder / "mutated.tsv")
+    if vocab is None:
+        return
+    vocab.save(folder / "again.tsv")
+    again = Vocabulary.load(folder / "again.tsv")
+    assert (again.keys, again.min_df) == (vocab.keys, vocab.min_df)
+    assert again.content_hash() == vocab.content_hash()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(ops=st.lists(mutation, min_size=1, max_size=3))
+@FUZZ
+def test_mutated_model(saved, kind, ops):
+    folder, lines = saved
+    text = lines[kind]
+    for op in ops:
+        text = mutate(text, op)
+    write(folder / "mutated.model", text)
+    bundle = load_or_reject(load_model, folder / "mutated.model")
+    if bundle is None:
+        return
+    for bias, weights in vectors(bundle):
+        assert np.isfinite(bias) and np.all(np.isfinite(weights))
+    save_model(bundle, folder / "again.model")
+    assert_same_bundle(load_model(folder / "again.model"), bundle)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(line=st.integers(0, 50), word=st.integers(0, 50), bad=st.sampled_from(NON_FINITE))
+@FUZZ
+def test_non_finite_number_rejected(saved, kind, line, word, bad):
+    folder, lines = saved
+    numbered = [i for i, text in enumerate(lines[kind]) if text.split("\t")[0] in ("bias", "weights")]
+    write(folder / "bad.model", mutate(lines[kind], ("word", numbered[line % len(numbered)], 1, word, bad)))
+    with pytest.raises(DataError, match="non-finite"):
+        load_model(folder / "bad.model")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("tag, line, message", [
+    ("weights", "weights\t0.5 0.5 0.5 0.5 0.5\tjunk", "needs 1 field"),
+    ("dim", "dim\t0", "dimension must be >= 1"),
+    ("dim", "dim\t-2", "dimension must be >= 1"),
+], ids=["weights-extra-field", "dim-zero", "dim-negative"])
+def test_malformed_line_rejected(saved, kind, tag, line, message):
+    folder, lines = saved
+    text = list(lines[kind])
+    text[next(i for i, t in enumerate(text) if t.split("\t")[0] == tag)] = line
+    write(folder / "bad.model", text)
+    with pytest.raises(DataError, match=message):
+        load_model(folder / "bad.model")
+
+
+@pytest.mark.parametrize("kind", ("vocab",) + KINDS)
+def test_unmutated_files_round_trip(saved, kind):
+    folder, lines = saved
+    write(folder / "plain", lines[kind])
+    if kind == "vocab":
+        vocab = Vocabulary.load(folder / "plain")
+        vocab.save(folder / "again")
+    else:
+        save_model(load_model(folder / "plain"), folder / "again")
+    assert (folder / "again").read_text(encoding="utf-8").splitlines() == lines[kind]
