@@ -21,6 +21,8 @@ import gzip
 import math
 import os
 import random
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -39,13 +41,21 @@ TRUTH_SEP = ":::"
 _ABSENT_TOKENS = ("XX", "XX-XX")
 
 
+@contextmanager
 def open_text(path, mode: str = "rt", newline=None):
-    """Open a UTF-8 text file, transparently gzipped when the name ends
-    in .gz.  Modes must be text modes ("rt", "wt")."""
+    """Open a UTF-8 text file as a context manager, transparently gzipped
+    when the name ends in .gz.  Modes must be text modes ("rt", "wt").
+    Bytes that are not UTF-8 and a corrupt or truncated gzip stream,
+    whenever the block meets them, raise a DataError naming the file."""
     path = os.fspath(path)
-    if path.endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8", newline=newline)
-    return open(path, mode, encoding="utf-8", newline=newline)
+    opener = gzip.open if path.endswith(".gz") else open
+    try:
+        with opener(path, mode, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise DataError(f"{path}: corrupt gzip stream: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +214,17 @@ def load_pan_truth_dir(spec: CorpusSpec) -> list[Sample]:
         raise ConfigError(f"load_pan_truth_dir called with format {spec.format!r}")
     truth = truth_path(spec.path)
     samples = []
+    listed: dict[str, int] = {}
     with open_text(truth) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             author_id, labels = _parse_truth_line(line, f"{truth}:{lineno}")
+            if author_id in listed:
+                raise DataError(f"{truth}:{lineno}: author {author_id!r} already listed "
+                                f"on line {listed[author_id]}")
+            listed[author_id] = lineno
             doc_path = author_path(spec.path, author_id)
             with open_text(doc_path) as doc_fh:
                 texts = doc_fh.read().splitlines()

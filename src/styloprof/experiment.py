@@ -243,7 +243,7 @@ def parse_config_file(path) -> ExperimentConfig:
     try:
         with open_text(path) as fh:
             raw_text = fh.read()
-    except OSError as exc:
+    except (OSError, DataError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(raw_text, base_dir=os.path.dirname(os.path.abspath(path)))
 

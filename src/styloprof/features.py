@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
@@ -219,7 +220,9 @@ class Vocabulary:
             if not header or header[0] != "styloprof-vocab-v1":
                 raise DataError(f"{path}: not a styloprof-vocab-v1 file")
             try:
-                min_df = int(dict(p.split("=", 1) for p in header[1:])["min_df"])
+                fields = dict(p.split("=", 1) for p in header[1:])
+                declared = {channel: int(fields[channel]) for channel in (CHAR, POS)}
+                min_df = int(fields["min_df"])
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}: bad vocabulary header") from exc
             keys = []
@@ -238,9 +241,17 @@ class Vocabulary:
                     raise DataError(f"{path}:{lineno}: columns out of order")
                 keys.append(FeatureKey(channel, _split_units(joined)))
         try:
-            return cls(keys=keys, min_df=min_df)
+            vocab = cls(keys=keys, min_df=min_df)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
+        if not all(map(operator.lt, keys, keys[1:])):
+            col = next(col for col in range(1, len(keys)) if keys[col] < keys[col - 1])
+            raise DataError(f"{path}:{col + 2}: key not in (channel, gram) order")
+        found = {CHAR: len(vocab.char_index), POS: len(vocab.pos_index)}
+        if found != declared:
+            raise DataError(f"{path}: header declares char={declared[CHAR]} pos={declared[POS]}, "
+                            f"file holds char={found[CHAR]} pos={found[POS]}")
+        return vocab
 
 
 UNIT_SEP = "␟"  # printable unit-separator symbol

@@ -11,6 +11,22 @@ take (Ho & Lin, JMLR 2012).  The families differ only in t, eps and the box:
 * epsilon-insensitive linear regression for the five personality traits:
   t = the targets, box [-C, C].
 
+The solver keeps its state in one of two forms, chosen per training
+matrix of n samples and shared by every problem trained on it:
+
+* the row form keeps w = sum_i b_i x_i; a margin gathers row i of X and
+  a step scatters a multiple of it back, as LIBLINEAR does;
+* the Gram form keeps the margins u = Qb of Q = X X' + 1, as LIBSVM does
+  (Chang & Lin, ACM TIST 2011); a margin reads u[i] and a step adds a
+  multiple of Q's row i, so it costs O(n) however long the rows are.
+  After every sweep u is summed again from b, and w = X'b is formed once
+  at the end.
+
+The Gram form is used when n^2 <= nnz(X): no more samples than an average
+row has entries, as when each author's tweets are pooled into one sample.
+That rule also keeps Q no larger than X.  Both forms visit the
+coordinates in the same order, and their steps differ only in rounding.
+
 The bias is handled by augmenting every vector with a constant-1
 feature, so it is regularized together with the weights; all objective
 values reported here include the bias in the regularizer.  Training is
@@ -19,14 +35,15 @@ permutations and nothing else.
 
 Every family trains on and predicts from one `SparseMatrix`, the
 compressed sparse rows `features.vectorize` builds.  `margins` computes
-X W' + b for a stack of weight vectors; it gives both the per-epoch
-primal objective and the predictions, which `predict` decodes per model
+X W' + b for a stack of weight vectors; it gives both the row form's
+per-epoch primal objective and the predictions, which `predict` decodes per model
 kind: the sign for a binary model, the first argmax for one-vs-rest and
 a clamp to the trait range for the regressors.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -96,17 +113,8 @@ class TraitRegressor:
 
 
 # ---------------------------------------------------------------------------
-# rows, margins and the primal objective (bias included in the regularizer,
-# see module docstring)
-
-def _prepare(X: SparseMatrix):
-    """Each row's (columns, values), as views into X, and the dual
-    diagonal Q_ii = x_i . x_i + 1 (the 1 is the bias feature)."""
-    if len(X) == 0:
-        raise DataError("empty training set")
-    rows = [X.row(r) for r in range(len(X))]
-    return rows, [float(v @ v) + 1.0 for _, v in rows]
-
+# margins and the primal objective (bias included in the regularizer, see
+# module docstring)
 
 def margins(X: SparseMatrix, weights: np.ndarray, biases) -> np.ndarray:
     """X W' + b: one row per sample of X and one column per row of the
@@ -123,30 +131,126 @@ def margins(X: SparseMatrix, weights: np.ndarray, biases) -> np.ndarray:
     return out
 
 
-# einsum, not `w @ w`: past 10,000 columns BLAS wakes a worker thread
-# that then spins for the rest of training
-def _primal(w, X: SparseMatrix, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps) -> float:
-    """Primal objective of `_solve`'s problem: per sample max(hi (r - eps),
-    lo (r + eps), 0) with r = t - margin, which is C max(0, 1 - y margin)
-    for the hinge and C max(0, |margin - t| - eps) for regression."""
-    r = t - margins(X, w[:-1], w[-1:])[:, 0]
+def _primal(sq_norm: float, m: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            eps) -> float:
+    """Primal objective of `_solve`'s problem from |w|^2 (bias included)
+    and the margins m: per sample max(hi (r - eps), lo (r + eps), 0) with
+    r = t - m, which is C max(0, 1 - y margin) for the hinge and
+    C max(0, |margin - t| - eps) for regression."""
+    r = t - m
     loss = np.maximum(np.maximum(hi * (r - eps), lo * (r + eps)), 0.0).sum()
-    return 0.5 * float(np.einsum("i,i->", w, w)) + float(loss)
+    return 0.5 * sq_norm + float(loss)
+
+
+# ---------------------------------------------------------------------------
+# the solver's two forms (module docstring).  Each keeps the state of one
+# solve at a time: `start` resets it, `margin` reads sample i's margin,
+# `step` writes back a change of b_i, `sweep` gives |w|^2 and every margin
+# for the primal, and `weights` maps b to the weights and bias.
+
+class _RowForm:
+    """w = sum_i b_i x_i, the bias last, kept in full: a margin gathers
+    row i of X and a step scatters a multiple of it back."""
+
+    def __init__(self, X: SparseMatrix):
+        self.X = X
+        self.rows = [X.row(r) for r in range(len(X))]
+        self.qii = [float(v @ v) + 1.0 for _, v in self.rows]
+
+    def start(self) -> None:
+        self.w = np.zeros(self.X.dimension + 1)
+
+    def margin(self, i: int):
+        ind, val = self.rows[i]
+        return float(self.w[ind] @ val) + self.w.item(-1)
+
+    def step(self, i: int, delta: float) -> None:
+        ind, val = self.rows[i]
+        self.w[ind] += delta * val
+        self.w[-1] += delta
+
+    # einsum, not `w @ w`: past 10,000 columns BLAS wakes a worker thread
+    # that then spins for the rest of training
+    def sweep(self, beta: list) -> tuple[float, np.ndarray]:
+        w = self.w
+        return float(np.einsum("i,i->", w, w)), margins(self.X, w[:-1], w[-1:])[:, 0]
+
+    def weights(self, beta: list) -> tuple[np.ndarray, float]:
+        return self.w[:-1].copy(), float(self.w[-1])
+
+
+class _GramForm:
+    """u = Qb for the Gram matrix Q = X X' + 1 kept in full: a margin reads
+    u[i] and a step adds a multiple of Q's row i, whatever the rows'
+    lengths.  Q is built once, a row at a time, with every x_i . x_j
+    summed in column order; no dense copy of X and no BLAS call."""
+
+    def __init__(self, X: SparseMatrix):
+        n = len(X)
+        self.X = X
+        self.counts = np.diff(X.indptr)
+        owner = np.repeat(np.arange(n), self.counts)
+        Q = np.empty((n, n))
+        dense = np.zeros(X.dimension)
+        for i in range(n):
+            start, end = X.indptr[i], X.indptr[i + 1]
+            dense[X.indices[start:end]] = X.entries[start:end]
+            products = dense[X.indices[start:]]
+            products *= X.entries[start:]
+            Q[i, i:] = np.bincount(owner[start:], weights=products, minlength=n)[i:]
+            Q[i:, i] = Q[i, i:]
+            dense[X.indices[start:end]] = 0.0
+        Q += 1.0
+        self.Q = Q
+        self.qii = Q.diagonal().tolist()
+
+    def start(self) -> None:
+        self.u = np.zeros(len(self.Q))
+
+    def margin(self, i: int):
+        return self.u.item(i)
+
+    def step(self, i: int, delta: float) -> None:
+        self.u += delta * self.Q[i]
+
+    def sweep(self, beta: list) -> tuple[float, np.ndarray]:
+        """b'Qb, which is |w|^2, and u recomputed from b in sequence, so
+        that the steps' rounding does not build up."""
+        beta = np.array(beta)
+        self.u = np.cumsum(self.Q * beta, axis=1)[:, -1].copy()
+        return float(np.einsum("i,i->", beta, self.u)), self.u
+
+    def weights(self, beta: list) -> tuple[np.ndarray, float]:
+        """w = X'b, each column summed in row order, and the bias sum(b)."""
+        X = self.X
+        w = np.bincount(X.indices, weights=X.entries * np.repeat(beta, self.counts),
+                        minlength=X.dimension)
+        return w, math.fsum(beta)
+
+
+def _prepare(X: SparseMatrix):
+    """The form to solve on X, shared by every problem trained on it: the
+    Gram form when n^2 <= nnz(X), that is when no average row is shorter
+    than the sample count, which also keeps Q no larger than X; the row
+    form otherwise."""
+    if len(X) == 0:
+        raise DataError("empty training set")
+    return _GramForm(X) if len(X) ** 2 <= X.indptr[-1] else _RowForm(X)
 
 
 # ---------------------------------------------------------------------------
 # solver
 
-def _solve(X: SparseMatrix, rows, qii, t, lo, hi, eps, cfg: TrainConfig):
+def _solve(form, t, lo, hi, eps, cfg: TrainConfig):
     """Dual coordinate descent (module docstring) with Q_ij = x_i . x_j + 1
-    and w = sum_i b_i x_i.  Stops once a full sweep finds no
-    projected-gradient violation reaching the tolerance, or at the epoch
-    cap.  Returns the weights, the bias, the primal objective after every
-    sweep and whether the last sweep met the tolerance."""
-    dim = X.dimension
+    and w = sum_i b_i x_i, on either form.  Stops once a full sweep finds
+    no projected-gradient violation reaching the tolerance, or at the
+    epoch cap.  Returns the weights, the bias, the primal objective after
+    every sweep and whether the last sweep met the tolerance."""
     arrays = [np.asarray(v, dtype=np.float64) for v in (t, lo, hi)]
-    w = np.zeros(dim + 1)
-    beta = np.zeros(len(t))
+    qii, margin, step = form.qii, form.margin, form.step
+    form.start()
+    beta = [0.0] * len(t)
     order = list(range(len(t)))
     rng = random.Random(cfg.seed)
     objectives = []
@@ -154,8 +258,7 @@ def _solve(X: SparseMatrix, rows, qii, t, lo, hi, eps, cfg: TrainConfig):
         rng.shuffle(order)
         worst = 0.0
         for i in order:
-            ind, val = rows[i]
-            g = float(w[ind] @ val) + w[dim] - t[i]
+            g = margin(i) - t[i]
             gp, gn = g + eps, g - eps
             b = beta[i]
             if b >= hi[i]:
@@ -182,24 +285,24 @@ def _solve(X: SparseMatrix, rows, qii, t, lo, hi, eps, cfg: TrainConfig):
             delta = new_b - b
             if delta != 0.0:
                 beta[i] = new_b
-                w[ind] += delta * val
-                w[dim] += delta
-        objectives.append(_primal(w, X, *arrays, eps))
+                step(i, delta)
+        objectives.append(_primal(*form.sweep(beta), *arrays, eps))
         if worst < cfg.tolerance:
             break
-    return w[:dim].copy(), float(w[dim]), objectives, bool(worst < cfg.tolerance)
+    weights, bias = form.weights(beta)
+    return weights, bias, objectives, bool(worst < cfg.tolerance)
 
 
 # ---------------------------------------------------------------------------
 # public training and prediction
 
-def _fit_hinge(X: SparseMatrix, prepared, signs: list[int], cfg: TrainConfig,
+def _fit_hinge(form, signs: list[int], cfg: TrainConfig,
                label_positive, label_negative) -> LinearModel:
     """L1-hinge SVM: t = y, eps = 0 and the box b = y alpha, alpha in [0, C]."""
     c = cfg.c_param
     lo = [0.0 if s > 0 else -c for s in signs]
     hi = [c if s > 0 else 0.0 for s in signs]
-    weights, bias, objectives, converged = _solve(X, *prepared, signs, lo, hi, 0.0, cfg)
+    weights, bias, objectives, converged = _solve(form, signs, lo, hi, 0.0, cfg)
     return LinearModel(weights=weights, bias=bias, c_param=c,
                        label_positive=label_positive, label_negative=label_negative,
                        epoch_objectives=objectives, converged=converged)
@@ -216,7 +319,7 @@ def train_binary(X: SparseMatrix, y: Sequence[int], cfg: TrainConfig,
     signs = [int(label) for label in y]
     if len(set(signs)) < 2:
         raise DataError("training data contains a single class; both classes are required")
-    return _fit_hinge(X, _prepare(X), signs, cfg, label_positive, label_negative)
+    return _fit_hinge(_prepare(X), signs, cfg, label_positive, label_negative)
 
 
 def train_ovr(X: SparseMatrix, y: Sequence, cfg: TrainConfig,
@@ -238,8 +341,8 @@ def train_ovr(X: SparseMatrix, y: Sequence, cfg: TrainConfig,
             raise DataError(f"training labels outside the declared classes: {unknown}")
     if len(classes) < 2:
         raise DataError("one-vs-rest training needs at least two distinct classes")
-    prepared = _prepare(X)
-    models = [_fit_hinge(X, prepared, [1 if label == cls else -1 for label in y], cfg,
+    form = _prepare(X)
+    models = [_fit_hinge(form, [1 if label == cls else -1 for label in y], cfg,
                          cls, REST_LABEL)
               for cls in classes]
     return OneVsRestModel(classes=classes, models=models)
@@ -270,13 +373,13 @@ def train_traits(X: SparseMatrix, targets, cfg: TrainConfig) -> TraitRegressor:
     rows = _target_rows(targets)
     if len(X) != len(rows):
         raise DataError(f"{len(X)} rows but {len(rows)} target rows")
-    prepared = _prepare(X)
+    form = _prepare(X)
     lo, hi = [-cfg.c_param] * len(rows), [cfg.c_param] * len(rows)
     weights, biases, histories, converged = {}, {}, {}, {}
     for name in TRAIT_NAMES:
         t = [row[name] for row in rows]
         weights[name], biases[name], histories[name], converged[name] = _solve(
-            X, *prepared, t, lo, hi, cfg.epsilon, cfg)
+            form, t, lo, hi, cfg.epsilon, cfg)
     return TraitRegressor(weights=weights, biases=biases, epsilon=cfg.epsilon,
                           c_param=cfg.c_param, epoch_objectives=histories, converged=converged)
 

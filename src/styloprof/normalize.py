@@ -180,8 +180,10 @@ def load_rules(path) -> list[NormalizationRule]:
     Each replacement must be a fixed point of the whole rule set, otherwise
     normalization would not be idempotent and the file is rejected.
     """
+    from .corpus import open_text
+
     rules: list[NormalizationRule] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -236,8 +237,11 @@ def random_separable_instance(rng: random.Random, dim: int = 3, margin: float = 
 # ---------------------------------------------------------------------------
 # Per-family dual coordinate descent loops: the alpha-form hinge solver and
 # the beta-form epsilon-insensitive solver, one loop each, as they stood
-# before the library merged them into a single box-constrained core.  The
-# library must reproduce their weights, biases and epoch counts bit for bit.
+# before the library merged them into a single box-constrained core.  Each
+# loop runs on one of two states: the weights w = sum_i b_i x_i, or the
+# margins u = Q b for Q = X X' + 1 in plain Python lists, the kernel form
+# that LIBSVM keeps.  The library must reproduce the loop on the state its
+# n^2 <= nnz rule picks bit for bit: weights, bias and epoch counts.
 
 def _reference_rows(X) -> list:
     """(columns, values) per row of a `SparseMatrix`, copied out of it."""
@@ -245,15 +249,78 @@ def _reference_rows(X) -> list:
     return [(X.indices[a:b].copy(), X.entries[a:b].copy()) for a, b in zip(bounds, bounds[1:])]
 
 
-def reference_solve_hinge(X, y, cfg):
-    """L1-hinge SVM over alpha in [0, C]; returns (weights, bias, epochs,
-    whether the last sweep met the tolerance)."""
+def _weight_state(X):
+    """Q's diagonal and margin(i), add(i, step), sweep(b), result(b) on
+    the bias-augmented weights."""
     dim = X.dimension
     rows = _reference_rows(X)
-    c = cfg.c_param
     w = np.zeros(dim + 1)
+
+    def margin(i):
+        ind, val = rows[i]
+        return float(w[ind] @ val) + w[dim]
+
+    def add(i, step):
+        ind, val = rows[i]
+        w[ind] += step * val
+        w[dim] += step
+
+    def sweep(b):
+        pass
+
+    def result(b):
+        return w[:dim], float(w[dim])
+
+    return [float(v @ v) + 1.0 for _, v in rows], margin, add, sweep, result
+
+
+def _gram_state(X):
+    """The same five on the margins u = Q b.  Q[i][j] sums the products
+    at the columns rows i and j share, in column order, plus 1; after
+    every sweep u is summed again from b, and the result is w = X'b
+    accumulated row after row with the exact sum of b as the bias."""
+    rows = [dict(zip(ind.tolist(), val.tolist())) for ind, val in _reference_rows(X)]
+    Q = []
+    for a in rows:
+        line = []
+        for b in rows:
+            total = 0.0
+            for col in sorted(a.keys() & b.keys()):
+                total += a[col] * b[col]
+            line.append(total + 1.0)
+        Q.append(line)
+    u = [0.0] * len(rows)
+
+    def margin(i):
+        return u[i]
+
+    def add(i, step):
+        for k, q in enumerate(Q[i]):
+            u[k] += step * q
+
+    def sweep(b):
+        for k, line in enumerate(Q):
+            total = 0.0
+            for q, coef in zip(line, b):
+                total += q * coef
+            u[k] = total
+
+    def result(b):
+        w = [0.0] * X.dimension
+        for row, coef in zip(rows, b):
+            for col, value in row.items():
+                w[col] += coef * value
+        return np.array(w), float(sum(Fraction(coef) for coef in b))
+
+    return [line[i] for i, line in enumerate(Q)], margin, add, sweep, result
+
+
+def reference_solve_hinge(X, y, cfg, gram=False):
+    """L1-hinge SVM over alpha in [0, C]; returns (weights, bias, epochs,
+    whether the last sweep met the tolerance)."""
+    qii, margin, add, sweep, result = (_gram_state if gram else _weight_state)(X)
+    c = cfg.c_param
     alpha = np.zeros(len(y))
-    qii = [float(v @ v) + 1.0 for _, v in rows]
     order = list(range(len(y)))
     rng = random.Random(cfg.seed)
     epochs = 0
@@ -262,9 +329,7 @@ def reference_solve_hinge(X, y, cfg):
         rng.shuffle(order)
         worst = 0.0
         for i in order:
-            ind, val = rows[i]
-            margin = float(w[ind] @ val) + w[dim]
-            g = y[i] * margin - 1.0
+            g = y[i] * margin(i) - 1.0
             a = alpha[i]
             if a <= 0.0:
                 pg = min(g, 0.0)
@@ -278,22 +343,19 @@ def reference_solve_hinge(X, y, cfg):
                 delta = new_a - a
                 if delta != 0.0:
                     alpha[i] = new_a
-                    w[ind] += (delta * y[i]) * val
-                    w[dim] += delta * y[i]
+                    add(i, delta * y[i])
+        sweep([label * a for label, a in zip(y, alpha)])
         if worst < cfg.tolerance:
             break
-    return w[:dim], float(w[dim]), epochs, worst < cfg.tolerance
+    return (*result([label * a for label, a in zip(y, alpha)]), epochs, worst < cfg.tolerance)
 
 
-def reference_solve_eps(X, t, cfg):
+def reference_solve_eps(X, t, cfg, gram=False):
     """Epsilon-insensitive regression over beta in [-C, C]; returns
     (weights, bias, epochs, whether the last sweep met the tolerance)."""
-    dim = X.dimension
-    rows = _reference_rows(X)
+    qii, margin, add, sweep, result = (_gram_state if gram else _weight_state)(X)
     c, eps = cfg.c_param, cfg.epsilon
-    w = np.zeros(dim + 1)
     beta = np.zeros(len(t))
-    qii = [float(v @ v) + 1.0 for _, v in rows]
     order = list(range(len(t)))
     rng = random.Random(cfg.seed)
     epochs = 0
@@ -302,8 +364,7 @@ def reference_solve_eps(X, t, cfg):
         rng.shuffle(order)
         worst = 0.0
         for i in order:
-            ind, val = rows[i]
-            g = float(w[ind] @ val) + w[dim] - t[i]
+            g = margin(i) - t[i]
             gp, gn = g + eps, g - eps
             b = beta[i]
             if b >= c:
@@ -328,8 +389,8 @@ def reference_solve_eps(X, t, cfg):
             delta = new_b - b
             if delta != 0.0:
                 beta[i] = new_b
-                w[ind] += delta * val
-                w[dim] += delta
+                add(i, delta)
+        sweep(beta.tolist())
         if worst < cfg.tolerance:
             break
-    return w[:dim], float(w[dim]), epochs, worst < cfg.tolerance
+    return (*result(beta.tolist()), epochs, worst < cfg.tolerance)

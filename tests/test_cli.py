@@ -81,6 +81,23 @@ class TestNormalizeCommand:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_gzipped_rule_file(self, tmp_path):
+        (tmp_path / "in.txt").write_text("call 555 now\n", encoding="utf-8")
+        with gzip.open(tmp_path / "my.rules.gz", "wt", encoding="utf-8") as fh:
+            fh.write("digits\t\\d+\tNUM\n")
+        code = main(["normalize", str(tmp_path / "in.txt"), str(tmp_path / "out.txt"),
+                     "--rules", str(tmp_path / "my.rules.gz")])
+        assert code == 0
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "call NUM now\n"
+
+    def test_bad_bytes_in_rule_file_are_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "in.txt").write_text("x\n", encoding="utf-8")
+        (tmp_path / "bad.rules").write_bytes(b"digits\t\\d+\tN\xffUM\n")
+        code = main(["normalize", str(tmp_path / "in.txt"), str(tmp_path / "o.txt"),
+                     "--rules", str(tmp_path / "bad.rules")])
+        assert code == 3
+        assert "bad.rules: not UTF-8 text" in capsys.readouterr().err
+
     def test_bad_rule_file_is_a_config_error(self, tmp_path, capsys):
         (tmp_path / "in.txt").write_text("x\n", encoding="utf-8")
         (tmp_path / "bad.rules").write_text("broken\t(\tx\n", encoding="utf-8")
@@ -117,6 +134,20 @@ class TestFeaturizeCommand:
                      "--corpus-path", str(tmp_path / "absent.csv"),
                      "--language", "es", "--vocab-out", str(tmp_path / "v")])
         assert code == 3
+
+    @pytest.mark.parametrize("name, data, message", [
+        ("c.csv", b"id,gender,text\n1,F,hola \xff\n", "not UTF-8 text"),
+        ("c.csv.gz", gzip.compress(b"id,gender,text\n1,F,hola \xff\n"), "not UTF-8 text"),
+        ("c.csv.gz", gzip.compress(b"id,gender,text\n1,F,hola\n")[:20], "corrupt gzip stream"),
+    ], ids=["bad-byte", "gzipped-bad-byte", "truncated-gzip"])
+    def test_bad_bytes_exit_3(self, tmp_path, capsys, name, data, message):
+        (tmp_path / name).write_bytes(data)
+        code = main(["featurize", "--corpus-format", "FlatCsv",
+                     "--corpus-path", str(tmp_path / name),
+                     "--language", "es", "--vocab-out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and f"{name}: {message}" in err
 
 
 class TestTrainPredictEvaluate:
@@ -379,6 +410,14 @@ class TestRunCommand:
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_bad_bytes_in_config_exit_2(self, tmp_path, capsys):
+        write_gender_setup(tmp_path)
+        (tmp_path / "exp.ini").write_bytes((tmp_path / "exp.ini").read_bytes() + b"# \xff\n")
+        code = main(["run", "--config", str(tmp_path / "exp.ini"),
+                     "--output", str(tmp_path / "result.txt")])
+        assert code == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_unexpected_exception_exits_4(self, tmp_path, capsys, monkeypatch):
         def explode(cfg):
             raise RuntimeError("boom")
@@ -422,6 +461,23 @@ def _repeated_vocab_key(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _vocab_header_count(tmp_path):
+    path = tmp_path / "m.vocab"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[0].split("\t")
+    n_char = int(fields[1].split("=")[1])
+    lines[0] = "\t".join([fields[0], f"char={n_char + 1}"] + fields[2:])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _vocab_key_order(tmp_path):
+    path = tmp_path / "m.vocab"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    (first, _), (second, _) = (line.rsplit("\t", 1) for line in lines[1:3])
+    lines[1:3] = [f"{second}\t0", f"{first}\t1"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _nan_bias(tmp_path):
     _replace_line(tmp_path / "m.model", "bias", "bias\tnan")
 
@@ -440,12 +496,14 @@ class TestPredictLoaderErrors:
         (_bad_vocab_column, "is not an integer"),
         (_joined_char_units, "not one character"),
         (_repeated_vocab_key, "repeated vocabulary key"),
+        (_vocab_header_count, "header declares char="),
+        (_vocab_key_order, "m.vocab:3: key not in (channel, gram) order"),
         (_bad_dim, "malformed dimension"),
         (_bad_config, "malformed config line"),
         (_nan_bias, "non-finite bias"),
         (_inf_weight, "non-finite weight"),
-    ], ids=["vocab-column", "vocab-char-unit", "vocab-repeated-key", "model-dim", "model-config",
-            "nan-bias", "inf-weight"])
+    ], ids=["vocab-column", "vocab-char-unit", "vocab-repeated-key", "vocab-header-count",
+            "vocab-key-order", "model-dim", "model-config", "nan-bias", "inf-weight"])
     def test_corrupt_file_exits_3(self, tmp_path, capsys, corrupt, message):
         train_gender_model(tmp_path)
         corrupt(tmp_path)

@@ -195,6 +195,12 @@ class TestPanTruthDir:
         with pytest.raises(DataError, match=fragment):
             load_pan_truth_dir(self.spec(tmp_path))
 
+    def test_repeated_author_rejected(self, tmp_path):
+        self.write_minimal(tmp_path, ["a1:::F:::XX", "a2:::M:::XX", "a1:::M:::XX"],
+                           {"a1": ["hola"], "a2": ["casa"]})
+        with pytest.raises(DataError, match=r":3: author 'a1' already listed on line 1"):
+            load_pan_truth_dir(self.spec(tmp_path))
+
     def test_error_carries_line_number(self, tmp_path):
         self.write_minimal(
             tmp_path, ["pepe:::M:::XX", "ana:::F"], {"pepe": ["x"], "ana": ["y"]}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from styloprof import learner
 from styloprof.errors import DataError
 from styloprof.features import ScalingPolicy, SparseMatrix
 from styloprof.learner import (
@@ -550,9 +551,36 @@ def solver_problems(draw):
     return SparseMatrix.from_rows(rows, dim), labels, targets, cfg
 
 
+@st.composite
+def gram_problems(draw):
+    """Problems in the Gram regime (n^2 <= nnz): few samples with dense
+    rows, one of them empty, over up to three times as many columns."""
+    n = draw(st.integers(3, 6))
+    dim = draw(st.integers(2 * n, 3 * n))
+    value = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    rows = [dict(enumerate(draw(st.lists(value, min_size=dim, max_size=dim)))) for _ in range(n)]
+    rows[draw(st.integers(0, n - 1))] = {}
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    labels[:2] = ["a", "b"]
+    targets = draw(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5),
+                            min_size=n, max_size=n))
+    cfg = TrainConfig(c_param=draw(st.sampled_from([1e-4, 0.3, 1.0, 1e4])),
+                      epochs=draw(st.integers(1, 40)),
+                      tolerance=draw(st.sampled_from([1e-12, 1e-4, 0.5])),
+                      seed=draw(st.integers(0, 2**16)),
+                      epsilon=draw(st.sampled_from([0.0, 0.05, 0.3])))
+    return SparseMatrix.from_rows(rows, dim), labels, targets, cfg
+
+
+def gram_form(X) -> bool:
+    """The learner's rule: the Gram form when n^2 <= nnz."""
+    return len(X) ** 2 <= X.indptr[-1]
+
+
 class TestSolverMatchesReferenceLoops:
     """The one box-constrained core reproduces the per-family loops of
-    `oracles` bit for bit: weights, bias, epochs run and convergence."""
+    `oracles` bit for bit, on the state the n^2 <= nnz rule picks:
+    weights, bias, epochs run and convergence."""
 
     def assert_same(self, weights, bias, objectives, converged, reference):
         ref_w, ref_b, ref_epochs, ref_converged = reference
@@ -561,24 +589,65 @@ class TestSolverMatchesReferenceLoops:
         assert len(objectives) == ref_epochs
         assert converged == ref_converged
 
-    @given(solver_problems())
-    @settings(max_examples=150, deadline=None)
-    def test_binary_ovr_and_traits(self, problem):
+    def check(self, problem):
         X, labels, targets, cfg = problem
+        gram = gram_form(X)
         signs = [1 if lab == "a" else -1 for lab in labels]
         model = train_binary(X, signs, cfg)
         self.assert_same(model.weights, model.bias, model.epoch_objectives, model.converged,
-                         reference_solve_hinge(X, signs, cfg))
+                         reference_solve_hinge(X, signs, cfg, gram))
         ovr = train_ovr(X, labels, cfg)
         for cls, sub in zip(ovr.classes, ovr.models):
             y = [1 if lab == cls else -1 for lab in labels]
             self.assert_same(sub.weights, sub.bias, sub.epoch_objectives, sub.converged,
-                             reference_solve_hinge(X, y, cfg))
+                             reference_solve_hinge(X, y, cfg, gram))
         reg = train_traits(X, targets, cfg)
         for j, name in enumerate("ENACO"):
             self.assert_same(reg.weights[name], reg.biases[name], reg.epoch_objectives[name],
                              reg.converged[name],
-                             reference_solve_eps(X, [row[j] for row in targets], cfg))
+                             reference_solve_eps(X, [row[j] for row in targets], cfg, gram))
+
+    @given(solver_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_binary_ovr_and_traits(self, problem):
+        self.check(problem)
+
+    @given(gram_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_gram_regime(self, problem):
+        assert gram_form(problem[0])
+        self.check(problem)
+
+
+class TestGramFormMatchesRowForm:
+    """On well-conditioned problems (C <= 1, tolerance 1e-4) the two forms
+    of the solver agree: same epochs and convergence, and weights, bias
+    and last objective equal up to rounding."""
+
+    def test_hinge_and_epsilon(self):
+        rng = random.Random(31)
+        for trial in range(40):
+            n = rng.randint(3, 8)
+            dim = rng.randint(2 * n, 3 * n)
+            X = SparseMatrix.from_rows(
+                [{} if i == 0 else {j: rng.uniform(-1, 1) for j in range(dim)} for i in range(n)],
+                dim)
+            assert gram_form(X)
+            cfg = TrainConfig(c_param=rng.uniform(0.05, 1.0), epochs=rng.randint(1, 300),
+                              tolerance=1e-4, seed=trial, epsilon=rng.choice([0.0, 0.05, 0.2]))
+            c = cfg.c_param
+            signs = [1 if i % 2 else -1 for i in range(n)]
+            targets = [rng.uniform(-0.5, 0.5) for _ in range(n)]
+            problems = [(signs, [0.0 if s > 0 else -c for s in signs],
+                         [c if s > 0 else 0.0 for s in signs], 0.0),
+                        (targets, [-c] * n, [c] * n, cfg.epsilon)]
+            for t, lo, hi, eps in problems:
+                w_g, b_g, obj_g, conv_g = learner._solve(learner._GramForm(X), t, lo, hi, eps, cfg)
+                w_r, b_r, obj_r, conv_r = learner._solve(learner._RowForm(X), t, lo, hi, eps, cfg)
+                assert (len(obj_g), conv_g) == (len(obj_r), conv_r)
+                np.testing.assert_allclose(w_g, w_r, rtol=1e-10, atol=1e-12)
+                assert b_g == pytest.approx(b_r, rel=1e-10, abs=1e-12)
+                assert obj_g[-1] == pytest.approx(obj_r[-1], rel=1e-10, abs=1e-12)
 
 
 class TestPredictMatchesLoopMargins:

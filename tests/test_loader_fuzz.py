@@ -1,4 +1,4 @@
-"""Line-level fuzzing of the vocabulary and model loaders.
+"""Fuzzing of the file readers.
 
 A saved vocabulary and saved binary, one-vs-rest and trait models are
 mutated line by line (lines deleted, repeated, swapped or inserted, one
@@ -7,21 +7,30 @@ field or one space-separated word replaced).  Whatever the mutation,
 `StyloprofError`; nothing else escapes.  A loaded model holds only finite
 numbers, anything loaded saves and loads back unchanged, and a
 non-finite number in any bias or weight is rejected.
+
+The text readers (rule file, lexicon, POS sidecar, `truth.txt` and
+FlatCsv) are mutated byte by byte instead, as plain files, as gzip
+files of the mutated bytes and as mutated gzip streams: bytes that are
+not UTF-8 and broken gzip streams must also end as a `StyloprofError`.
 """
 
 from __future__ import annotations
+
+import gzip
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from styloprof.corpus import TRAIT_NAMES
+from styloprof.corpus import TRAIT_NAMES, CorpusSpec, load_flat_csv, load_pan_truth_dir
 from styloprof.errors import DataError, StyloprofError
 from styloprof.features import (CHAR, POS, FeatureKey, ScalingPolicy, SparseMatrix,
                                 Vocabulary)
 from styloprof.learner import (ModelBundle, TrainConfig, load_model, save_model, train_binary,
                                train_ovr, train_traits)
+from styloprof.normalize import load_rules
+from styloprof.pos import ingest_tagged_file, load_lexicon
 
 TOKENS = ["nan", "NaN", "inf", "-inf", "1e999", "-1e999", "", "0", "-0.0", "1", "2.5", "-3",
           "i:3", "s:x", "i:x", "abc", "char", "pos", "bias", "weights", "dim", "=", "c_param=nan",
@@ -109,7 +118,7 @@ def assert_same_bundle(a: ModelBundle, b: ModelBundle) -> None:
 def saved(tmp_path_factory):
     """Lines of a saved vocabulary and of one saved model per kind."""
     folder = tmp_path_factory.mktemp("saved")
-    vocab = Vocabulary(keys=[FeatureKey(CHAR, ("_", "a")), FeatureKey(CHAR, ("\\",)),
+    vocab = Vocabulary(keys=[FeatureKey(CHAR, ("\\",)), FeatureKey(CHAR, ("_", "a")),
                              FeatureKey(CHAR, ("b", "␟", "_")), FeatureKey(POS, ("N",)),
                              FeatureKey(POS, ("REF@USERNAME", "V"))], min_df=2)
     vocab.save(folder / "v.tsv")
@@ -205,3 +214,112 @@ def test_unmutated_files_round_trip(saved, kind):
     else:
         save_model(load_model(folder / "plain"), folder / "again")
     assert (folder / "again").read_text(encoding="utf-8").splitlines() == lines[kind]
+
+
+# ---------------------------------------------------------------------------
+# byte-level fuzzing of the text readers
+
+def _load_truth_dir(path):
+    return load_pan_truth_dir(CorpusSpec(format="PanTruthDir", path=str(path.parent), language="es"))
+
+
+def _load_csv(path):
+    return load_flat_csv(CorpusSpec(format="FlatCsv", path=str(path), language="es"))
+
+
+# reader -> (file name, valid contents, loader of that file)
+READERS = {
+    "rules": ("rules.tsv", "# rules\nurls\thttps?://\\S*\thtt\nmentions\t@\\w+\t@us\n", load_rules),
+    "lexicon": ("lexicon.tsv", "# words\ncasa\tN\nes\tV\ngrande\tA\n", load_lexicon),
+    "sidecar": ("doc.pos", "hola\tI\n@us\tNP\n\ncasa\tNC\n:)\tF\n", ingest_tagged_file),
+    "truth": ("truth.txt", "a1:::F:::25-34:::0.1:::-0.2:::0.0:::0.5:::-0.5\na2:::M:::18-24\n",
+              _load_truth_dir),
+    "flatcsv": ("corpus.csv", 'id,gender,text\n1,F,"hola, señora"\n2,M,casa\n', _load_csv),
+}
+AUTHOR_FILES = {"a1.txt": "hola gente\n", "a2.txt": "casa\n"}
+WRAPS = ("plain", "gzip-of-mutated", "mutated-gzip")
+
+byte_mutation = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 500), st.integers(0, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 500), st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("delete"), st.integers(0, 500), st.integers(1, 8)),
+    st.tuples(st.just("truncate"), st.integers(0, 500)),
+)
+
+
+def mutate_bytes(data: bytes, op) -> bytes:
+    if not data:
+        return op[2] if op[0] == "insert" else data
+    i = op[1] % len(data)
+    if op[0] == "set":
+        return data[:i] + bytes([op[2]]) + data[i + 1:]
+    if op[0] == "insert":
+        return data[:i] + op[2] + data[i:]
+    if op[0] == "delete":
+        return data[:i] + data[i + op[2]:]
+    return data[:i]
+
+
+def write_wrapped(folder, name: str, data: bytes, wrap: str, ops) -> object:
+    """Write `data` under `name` (plain) or `name.gz`, removing the other,
+    with `ops` applied to the text bytes or to the gzip stream."""
+    for stale in (folder / name, folder / (name + ".gz")):
+        stale.unlink(missing_ok=True)
+    if wrap == "plain":
+        for op in ops:
+            data = mutate_bytes(data, op)
+        path = folder / name
+    else:
+        if wrap == "gzip-of-mutated":
+            for op in ops:
+                data = mutate_bytes(data, op)
+        data = gzip.compress(data, mtime=0)
+        if wrap == "mutated-gzip":
+            for op in ops:
+                data = mutate_bytes(data, op)
+        path = folder / (name + ".gz")
+    path.write_bytes(data)
+    return path
+
+
+@pytest.fixture(scope="module")
+def reader_dirs(tmp_path_factory):
+    """One folder per reader, holding the author files `truth.txt` names."""
+    dirs = {}
+    for reader in READERS:
+        dirs[reader] = tmp_path_factory.mktemp(reader)
+        for name, text in AUTHOR_FILES.items():
+            (dirs[reader] / name).write_text(text, encoding="utf-8")
+    return dirs
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("wrap", WRAPS)
+@given(ops=st.lists(byte_mutation, min_size=1, max_size=3))
+@FUZZ
+def test_mutated_bytes(reader_dirs, reader, wrap, ops):
+    name, text, loader = READERS[reader]
+    path = write_wrapped(reader_dirs[reader], name, text.encode("utf-8"), wrap, ops)
+    load_or_reject(loader, path)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("wrap", WRAPS)
+def test_unmutated_bytes_load(reader_dirs, reader, wrap):
+    name, text, loader = READERS[reader]
+    assert loader(write_wrapped(reader_dirs[reader], name, text.encode("utf-8"), wrap, []))
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("wrap, op, message", [
+    ("plain", ("insert", 12, b"\xff"), "not UTF-8 text"),
+    ("gzip-of-mutated", ("insert", 12, b"\xc3("), "not UTF-8 text"),
+    ("mutated-gzip", ("truncate", 25), "corrupt gzip stream"),
+    ("mutated-gzip", ("set", 0, 0), "corrupt gzip stream"),
+], ids=["bad-byte", "gzipped-bad-byte", "truncated-gzip", "bad-gzip-magic"])
+def test_bad_bytes_name_the_file(reader_dirs, reader, wrap, op, message):
+    name, text, loader = READERS[reader]
+    path = write_wrapped(reader_dirs[reader], name, text.encode("utf-8"), wrap, [op])
+    with pytest.raises(DataError, match=message) as info:
+        loader(path)
+    assert str(path) in str(info.value)
