@@ -124,8 +124,15 @@ def _read_label_rows(path) -> list[tuple[str, str]]:
             if not line.strip():
                 continue
             parts = line.split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1]:
+            if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
                 raise DataError(f"{path}:{lineno}: expected `sample_id<TAB>label[<TAB>margin]`")
+            if len(parts) == 3:
+                try:
+                    margin = float(parts[2])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: unparsable margin {parts[2]!r}") from None
+                if not math.isfinite(margin):
+                    raise DataError(f"{path}:{lineno}: non-finite margin {parts[2]!r}")
             rows.append((parts[0], parts[1]))
     return rows
 

@@ -677,7 +677,7 @@ def render_result(result: ExperimentResult) -> str:
             lines.append(f"k\t{row['k']}\tvocab_sha256\t{row['vocab_sha256']}")
 
     lines.append("## config")
-    for raw_line in result.config_text.splitlines():
+    for raw_line in _split_lines(result.config_text):
         lines.append(f"| {raw_line}")
     lines.append("## timing")
     for stage, seconds in result.timings:
@@ -685,11 +685,21 @@ def render_result(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _split_lines(text: str) -> list[str]:
+    """The lines of `text`, split on "\n" only: a config comment may hold
+    any other line or paragraph separator.  A final newline ends the last
+    line and does not start another."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def extract_config(result_text: str) -> str:
     """Inverse of the `## config` embedding in a result file."""
     lines = []
     inside = False
-    for line in result_text.splitlines():
+    for line in _split_lines(result_text):
         if line == "## config":
             inside = True
             continue

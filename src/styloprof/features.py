@@ -16,7 +16,9 @@ which is also what the vocabulary file and `content_hash` are made of.
 Counts are per *sample* (all documents pooled) and scaled either linearly
 or as log2(1 + count), selectable per channel.  `vectorize` turns a list
 of samples into one `SparseMatrix` in compressed sparse row form, the
-layout the learner trains on and predicts from.
+layout the learner trains on and predicts from.  It gathers each channel
+flat, all samples' grams in one lookup pass, so no per-sample object is
+built between the counts and the matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -133,17 +136,26 @@ class SparseMatrix:
             raise DataError("non-finite feature value")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Mapping[int, float]], dimension: int) -> "SparseMatrix":
-        """One row per column -> value mapping, its columns sorted."""
-        indptr, indices, entries = [0], [], []
-        for row in rows:
-            indices += row.keys()
-            entries += row.values()
-            indptr.append(len(indices))
-        indptr, indices = np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
+    def from_entries(cls, rows: np.ndarray, columns: np.ndarray, values: np.ndarray,
+                     n: int, dimension: int) -> "SparseMatrix":
+        """n rows from flat (row, column, value) triples in any order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        columns = np.asarray(columns, dtype=np.int64)
         # one sort of (row, column) keys puts every row's columns in order
-        order = np.argsort(np.repeat(np.arange(indptr.size - 1), np.diff(indptr)) * dimension + indices)
-        return cls(indptr, indices[order], np.array(entries, dtype=np.float64)[order], dimension)
+        order = np.argsort(rows * dimension + columns)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(indptr, columns[order], np.asarray(values, dtype=np.float64)[order], dimension)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Mapping[int, float]], dimension: int) -> "SparseMatrix":
+        """One row per column -> value mapping."""
+        rows = list(rows)
+        lengths = list(map(len, rows))
+        return cls.from_entries(np.repeat(np.arange(len(rows)), lengths),
+                                [col for row in rows for col in row],
+                                [value for row in rows for value in row.values()],
+                                len(rows), dimension)
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -195,11 +207,10 @@ class Vocabulary:
         return None
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for key in self.keys:
-            h.update(_key_line(key).encode("utf-8"))
-            h.update(b"\n")
-        return h.hexdigest()
+        """SHA-256 of the vocabulary file's key lines without their column,
+        each ended by a newline."""
+        lines = "".join([f"{_key_line(key)}\n" for key in self.keys])
+        return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
         from .corpus import open_text
@@ -260,8 +271,7 @@ _ESCAPES = {"\\": "\\\\", UNIT_SEP: "\\U", "\t": "\\t", "\n": "\\n", "\r": "\\r"
 _UNESCAPES = {"\\": "\\", "U": UNIT_SEP, "t": "\t", "n": "\n", "r": "\r"}
 
 
-def _escape_unit(unit: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in unit)
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
 
 
 def _unescape_unit(unit: str) -> str:
@@ -281,7 +291,10 @@ def _unescape_unit(unit: str) -> str:
 
 
 def _key_line(key: FeatureKey) -> str:
-    return f"{key.channel}\t{UNIT_SEP.join(_escape_unit(u) for u in key.gram)}"
+    """The key as the vocabulary file writes it: channel, a tab, then the
+    units escaped through `_ESCAPE_TABLE` and joined by `UNIT_SEP`."""
+    units = UNIT_SEP.join([unit.translate(_ESCAPE_TABLE) for unit in key.gram])
+    return f"{key.channel}\t{units}"
 
 
 def _split_units(joined: str) -> tuple[str, ...]:
@@ -315,19 +328,35 @@ def build_vocabulary(samples: Iterable[tuple[Counter, Counter]], min_df: int = 2
 def vectorize(samples: Iterable[tuple[Counter, Counter]], vocab: Vocabulary,
               policy: ScalingPolicy) -> SparseMatrix:
     """One scaled row over `vocab` per sample, from (`char_ngrams`,
-    `pos_ngrams`)-keyed count pairs; out-of-vocabulary grams dropped."""
+    `pos_ngrams`)-keyed count pairs; out-of-vocabulary grams and zero
+    counts dropped.
+
+    Each channel is gathered flat, with no per-row object: the grams of
+    every sample are looked up in one pass over the chained keys and
+    their counts read in one pass over the chained values, and
+    `SparseMatrix.from_entries` puts every row's columns in order.  A
+    log2 entry is `math.log2(1.0 + count)`, computed once per distinct
+    count."""
     if len(vocab) == 0:
         raise DataError("empty vocabulary")
-    channels = ((vocab.char_index.get, policy.char_scale), (vocab.pos_index.get, policy.pos_scale))
-
-    def row(counts_pair) -> dict[int, float]:
-        entries: dict[int, float] = {}
-        for counts, (column, scale) in zip(counts_pair, channels):
-            for gram, count in counts.items():
-                col = column(gram)
-                if col is None or count == 0:
-                    continue
-                entries[col] = float(count) if scale == LINEAR else math.log2(1.0 + count)
-        return entries
-
-    return SparseMatrix.from_rows(map(row, samples), len(vocab))
+    pairs = list(samples)
+    row_ids, columns, entries = [], [], []
+    for channel, index, scale in ((0, vocab.char_index, policy.char_scale),
+                                  (1, vocab.pos_index, policy.pos_scale)):
+        counters = [pair[channel] for pair in pairs]
+        lengths = np.fromiter(map(len, counters), dtype=np.int64, count=len(counters))
+        total = int(lengths.sum())
+        cols = np.fromiter(map(index.get, chain.from_iterable(counters), repeat(-1)),
+                           dtype=np.int64, count=total)
+        counts = np.fromiter(chain.from_iterable(map(dict.values, counters)),
+                             dtype=np.float64, count=total)
+        keep = (cols >= 0) & (counts != 0)
+        counts = counts[keep]
+        if scale != LINEAR:
+            distinct, inverse = np.unique(counts, return_inverse=True)
+            counts = np.array([math.log2(1.0 + c) for c in distinct.tolist()])[inverse]
+        row_ids.append(np.repeat(np.arange(len(counters)), lengths)[keep])
+        columns.append(cols[keep])
+        entries.append(counts)
+    return SparseMatrix.from_entries(np.concatenate(row_ids), np.concatenate(columns),
+                                     np.concatenate(entries), len(pairs), len(vocab))

@@ -22,9 +22,11 @@ matrix of n samples and shared by every problem trained on it:
   After every sweep u is summed again from b, and w = X'b is formed once
   at the end.
 
-The Gram form is used when n^2 <= nnz(X): no more samples than an average
-row has entries, as when each author's tweets are pooled into one sample.
-That rule also keeps Q no larger than X.  Both forms visit the
+The Gram form is used when n^2 <= nnz(X), which keeps Q no larger than
+X, and when n <= 4 * epochs, so that building Q (about n nnz / 2 entries
+read) never reads more than the whole row-form solve (2 nnz per sweep)
+(`_prepare`).  A few dozen samples of pooled tweets each pass, a
+thousand rows trained for 20 epochs do not.  Both forms visit the
 coordinates in the same order, and their steps differ only in rounding.
 
 The bias is handled by augmenting every vector with a constant-1
@@ -228,14 +230,18 @@ class _GramForm:
         return w, math.fsum(beta)
 
 
-def _prepare(X: SparseMatrix):
-    """The form to solve on X, shared by every problem trained on it: the
-    Gram form when n^2 <= nnz(X), that is when no average row is shorter
-    than the sample count, which also keeps Q no larger than X; the row
-    form otherwise."""
-    if len(X) == 0:
+def _prepare(X: SparseMatrix, epochs: int):
+    """The form to solve on X for up to `epochs` sweeps, shared by every
+    problem trained on it: the Gram form when no average row is shorter
+    than the sample count (n^2 <= nnz), which keeps Q no larger than X,
+    and when building Q, n nnz / 2 entries read, costs no more than the
+    row form's whole solve, 2 nnz entries per sweep (n <= 4 epochs); the
+    row form otherwise.  Both are bounds from entry counts alone, not a
+    timing of either form."""
+    n = len(X)
+    if n == 0:
         raise DataError("empty training set")
-    return _GramForm(X) if len(X) ** 2 <= X.indptr[-1] else _RowForm(X)
+    return _GramForm(X) if n * n <= X.indptr[-1] and n <= 4 * epochs else _RowForm(X)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +325,7 @@ def train_binary(X: SparseMatrix, y: Sequence[int], cfg: TrainConfig,
     signs = [int(label) for label in y]
     if len(set(signs)) < 2:
         raise DataError("training data contains a single class; both classes are required")
-    return _fit_hinge(_prepare(X), signs, cfg, label_positive, label_negative)
+    return _fit_hinge(_prepare(X, cfg.epochs), signs, cfg, label_positive, label_negative)
 
 
 def train_ovr(X: SparseMatrix, y: Sequence, cfg: TrainConfig,
@@ -341,7 +347,7 @@ def train_ovr(X: SparseMatrix, y: Sequence, cfg: TrainConfig,
             raise DataError(f"training labels outside the declared classes: {unknown}")
     if len(classes) < 2:
         raise DataError("one-vs-rest training needs at least two distinct classes")
-    form = _prepare(X)
+    form = _prepare(X, cfg.epochs)
     models = [_fit_hinge(form, [1 if label == cls else -1 for label in y], cfg,
                          cls, REST_LABEL)
               for cls in classes]
@@ -373,7 +379,7 @@ def train_traits(X: SparseMatrix, targets, cfg: TrainConfig) -> TraitRegressor:
     rows = _target_rows(targets)
     if len(X) != len(rows):
         raise DataError(f"{len(X)} rows but {len(rows)} target rows")
-    form = _prepare(X)
+    form = _prepare(X, cfg.epochs)
     lo, hi = [-cfg.c_param] * len(rows), [cfg.c_param] * len(rows)
     weights, biases, histories, converged = {}, {}, {}, {}
     for name in TRAIT_NAMES:

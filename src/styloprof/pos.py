@@ -8,13 +8,19 @@ grammatical tags survives into POS n-grams.
 
 A POS stream is a plain list of strings: single uppercase category
 letters, or one of the three REF tags.
+
+Without external tags, `simple_tokenize`, `fallback_tag` and `relabel`
+produce the stream.  Most chunks of a tweet are plain words: the
+tokenizer keeps a chunk for which `str.isalnum()` holds whole, since no
+letter or digit is in a punctuation (P*) or symbol (S*) category, and
+scans the characters of the other chunks only.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataError
 
@@ -27,10 +33,10 @@ LINK_MARKER = "htt"
 
 _HASHTAG = re.compile(r"#\w+")
 _NUMERIC = re.compile(r"\d+(?:[.,]\d+)*")
+_MARKER_TAGS = {MENTION_MARKER: REF_USERNAME, LINK_MARKER: REF_LINK}
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
     surface: str
     fine_tag: str
 
@@ -54,17 +60,16 @@ def relabel(tokens: list[TaggedToken]) -> list[str]:
     Output has exactly one tag per token, in order.
     """
     stream = []
-    for tok in tokens:
-        if tok.surface == MENTION_MARKER:
-            stream.append(REF_USERNAME)
-        elif tok.surface == LINK_MARKER:
-            stream.append(REF_LINK)
-        elif tok.surface.startswith("#") and _HASHTAG.match(tok.surface):
-            stream.append(REF_HASHTAG)
-        elif not tok.fine_tag:
-            raise DataError(f"token {tok.surface!r} has no POS tag and no special form")
-        else:
-            stream.append(reduce_tag(tok.fine_tag))
+    for surface, fine_tag in tokens:
+        tag = _MARKER_TAGS.get(surface)
+        if tag is None:
+            if surface[:1] == "#" and _HASHTAG.match(surface):
+                tag = REF_HASHTAG
+            elif not fine_tag:
+                raise DataError(f"token {surface!r} has no POS tag and no special form")
+            else:
+                tag = reduce_tag(fine_tag)
+        stream.append(tag)
     return stream
 
 
@@ -145,6 +150,9 @@ def simple_tokenize(text: str) -> list[str]:
     separate tokens, leaving normalization markers and hashtags intact."""
     tokens: list[str] = []
     for chunk in text.split():
+        if chunk.isalnum():  # no letter or digit is punctuation or a symbol
+            tokens.append(chunk)
+            continue
         if _is_punct_only(chunk):
             tokens.append(chunk)
             continue

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import unicodedata
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
+from styloprof.errors import DataError
 from styloprof.features import LINEAR, FeatureKey
 
 PAD = "_"
@@ -86,6 +89,71 @@ def featurekey_vectorize(char_counts, pos_counts, keys, policy) -> dict:
                 continue
             entries[col] = float(count) if scale == LINEAR else math.log2(1.0 + count)
     return entries
+
+
+# ---------------------------------------------------------------------------
+# The fallback tagger one character and one token at a time: every chunk
+# scanned for punctuation and symbols, each marker surface compared in
+# turn.  The library skips the scan for letters-and-digits chunks and
+# looks the markers up in one dict.
+
+def _punct_or_symbols(text: str) -> bool:
+    return all(unicodedata.category(c)[0] in ("P", "S") for c in text)
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Whitespace chunks with leading and trailing punctuation peeled off
+    as one token each side; `@` and `#` stay on the word they start."""
+    tokens = []
+    for chunk in text.split():
+        if _punct_or_symbols(chunk):
+            tokens.append(chunk)
+            continue
+        i, j = 0, len(chunk)
+        while i < j and _punct_or_symbols(chunk[i]) and chunk[i] not in "@#":
+            i += 1
+        while j > i and _punct_or_symbols(chunk[j - 1]) and chunk[j - 1] not in "@#":
+            j -= 1
+        tokens += [part for part in (chunk[:i], chunk[i:j], chunk[j:]) if part]
+    return tokens
+
+
+def reference_fallback_tag(tokens: list[str], lexicon: dict) -> list[tuple[str, str]]:
+    """(surface, tag): the lowercased lexicon entry, else Z for numbers,
+    F for punctuation and symbols only, N for anything else."""
+    tagged = []
+    for tok in tokens:
+        tag = lexicon.get(tok.lower())
+        if tag is None:
+            if re.fullmatch(r"\d+(?:[.,]\d+)*", tok):
+                tag = "Z"
+            elif tok and _punct_or_symbols(tok):
+                tag = "F"
+            else:
+                tag = "N"
+        tagged.append((tok, tag))
+    return tagged
+
+
+def reference_relabel(tagged: list[tuple[str, str]]) -> list[str]:
+    """REF tags for the mention and link markers and for hashtags, else
+    the first letter of the tag uppercased, a REF tag kept whole; a token
+    with neither raises `DataError`."""
+    stream = []
+    for surface, tag in tagged:
+        if surface == "@us":
+            stream.append("REF@USERNAME")
+        elif surface == "htt":
+            stream.append("REF#LINK")
+        elif re.match(r"#\w+", surface):
+            stream.append("REF#HASHTAG")
+        elif not tag:
+            raise DataError(f"token {surface!r} has no POS tag and no special form")
+        elif tag.startswith("REF"):
+            stream.append(tag)
+        else:
+            stream.append(tag[0].upper()[0])
+    return stream
 
 
 # ---------------------------------------------------------------------------

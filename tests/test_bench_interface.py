@@ -12,6 +12,7 @@ matrix keeps its `entries` name and every margin is a Python float.
 
 import importlib.util
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from styloprof.experiment import parse_config_text
 from styloprof.features import Vocabulary
 from styloprof.normalize import default_rules
 from styloprof.synthetic import write_marker_csv
+
+from oracles import ngram_reference, pos_ngram_reference
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = (cli, experiment, features, learner, pos)
@@ -53,10 +56,11 @@ def bindings():
 
 
 def test_install_trace_uninstall(tmp_path, monkeypatch):
-    built = []
+    built, vectorized = [], []
 
-    def recording_vectorize(*args, **kwargs):
-        built.append(features.vectorize(*args, **kwargs))
+    def recording_vectorize(samples, vocab, policy):
+        vectorized.append((list(samples), vocab))
+        built.append(features.vectorize(vectorized[-1][0], vocab, policy))
         return built[-1]
 
     monkeypatch.setattr(experiment, "vectorize", recording_vectorize)
@@ -69,6 +73,7 @@ def test_install_trace_uninstall(tmp_path, monkeypatch):
         write_marker_csv(tmp_path / "train.csv", n_docs=80)
         cfg = parse_config_text(CONFIG, base_dir=str(tmp_path))
         result = experiment.run_experiment(cfg)
+        run_counts = Counter(tracer.counts)
         # what bench/worker.py reads off the counts after the timed part
         prepared = experiment.prepare_corpus(cfg.train_corpus, default_rules("es"), {}, [])
         sample = experiment.as_samples(prepared)[0]
@@ -98,6 +103,22 @@ def test_install_trace_uninstall(tmp_path, monkeypatch):
     plain_chars, plain_tags = experiment.sample_counts(sample)
     assert {"".join(k.gram): v for k, v in chars.items()} == plain_chars
     assert {tuple(list(k.gram)): v for k, v in tags.items()} == plain_tags
+
+    # the run's layer counts, recomputed without the tracer from the same
+    # corpus: every document tagged once, every sample counted once, and
+    # one stored entry per in-vocabulary gram with a nonzero count
+    prepared = experiment.prepare_corpus(cfg.train_corpus, default_rules("es"), {}, [])
+    docs = [labeled.document for labeled in prepared.docs]
+    pooled = [doc for s in experiment.as_samples(prepared) for doc in s.documents]
+    assert run_counts["pos.tokens"] == sum(len(doc.pos_tags) for doc in docs)
+    assert run_counts["features.char_grams"] == sum(
+        sum(ngram_reference(doc.text, 1, 3).values()) for doc in pooled)
+    assert run_counts["features.pos_grams"] == sum(
+        sum(pos_ngram_reference(list(doc.pos_tags), 1, 3).values()) for doc in pooled)
+    assert run_counts["features.nnz"] == sum(
+        sum(1 for gram, n in chars.items() if n and gram in vocab.char_index)
+        + sum(1 for gram, n in tags.items() if n and gram in vocab.pos_index)
+        for pairs, vocab in vectorized for chars, tags in pairs)
 
 
 
@@ -172,7 +193,7 @@ def test_traced_gram_regime_objectives(tmp_path, monkeypatch, task):
         tracer.uninstall()
 
     (X, y, cfg, model), = trained
-    assert len(X) ** 2 <= X.indptr[-1]  # the Gram form's rule
+    assert type(learner._prepare(X, cfg.epochs)) is learner._GramForm
     learner.save_model(result.outcome.bundle, tmp_path / "m.model")
     saved = learner.load_model(tmp_path / "m.model").model
     if task == "age":

@@ -344,6 +344,15 @@ class TestEvaluateErrors:
         assert main(argv) == 3
         assert "expected `sample_id<TAB>label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pred, message", [
+        ("a\tF\tnan\n", "non-finite margin 'nan'"),
+        ("a\tF\t1\tx\n", "expected `sample_id<TAB>label"),
+    ], ids=["nan-margin", "fourth-field"])
+    def test_malformed_margin_field(self, tmp_path, capsys, pred, message):
+        argv = self.write_pair(tmp_path, pred, "a\tF\n")
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
     def test_malformed_trait_rows(self, tmp_path, capsys):
         (tmp_path / "p.tsv").write_text(
             "a\tE=0.1\tN=0.1\tA=0.1\tC=0.1\tO=oops\n", encoding="utf-8")

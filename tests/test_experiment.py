@@ -1,8 +1,11 @@
 """Config parsing, corpus preparation, experiment runs, result files."""
 
 import gzip
+import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from styloprof.corpus import (
     CorpusSpec,
@@ -15,6 +18,7 @@ from styloprof.corpus import (
 )
 from styloprof.errors import ConfigError, DataError
 from styloprof.experiment import (
+    ExperimentResult,
     extract_config,
     parse_config_file,
     parse_config_text,
@@ -29,6 +33,9 @@ from styloprof.features import ScalingPolicy
 from styloprof.learner import TrainConfig
 from styloprof.normalize import default_rules
 from styloprof.synthetic import write_marker_csv, write_sweep_csv
+
+# every character but "\n" that `str.splitlines` breaks a line on
+LINE_BREAKERS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 MINIMAL = """\
 [experiment]
@@ -517,6 +524,22 @@ class TestResultFiles:
         write_marker_csv(tmp_path / "train.csv", n_docs=20)
         result = run_experiment(parse_config_text(text_cfg, base_dir=str(tmp_path)))
         assert extract_config(render_result(result)) == text_cfg
+
+    @given(st.lists(st.text(alphabet=LINE_BREAKERS + "ab =#|", max_size=12), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_config_round_trip_keeps_other_line_breaks(self, comments):
+        """Only "\n" ends a config line: vertical tab, form feed, the
+        file/group/record separators, NEL, CR and the Unicode line and
+        paragraph separators in a comment come back unchanged, so the
+        embedded config still hashes to its own `config_sha256`."""
+        config = MINIMAL + "".join(f"# {comment}\n" for comment in comments)
+        result = ExperimentResult(mode="split", task="gender", provenance={}, warnings=[],
+                                  outcome=None, sweep_rows=None, sweep_classes=None,
+                                  config_text=config, timings=[("total", 0.5)])
+        extracted = extract_config(render_result(result))
+        assert extracted == config
+        assert hashlib.sha256(extracted.encode("utf-8")).digest() == \
+            hashlib.sha256(config.encode("utf-8")).digest()
 
     def test_fingerprint_tracks_corpus_content(self, tmp_path):
         result1 = run_experiment(config_for(tmp_path, n_docs=20))

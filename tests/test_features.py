@@ -247,6 +247,16 @@ class TestSparseMatrix:
     def test_no_rows(self):
         assert len(SparseMatrix.from_rows([], 4)) == 0
 
+    def test_from_entries_any_order_trailing_empty_rows(self):
+        X = SparseMatrix.from_entries([2, 0, 0, 2], [1, 2, 0, 0], [4.0, 1.5, -1.0, 3.0], 4, 3)
+        assert X.indptr.tolist() == [0, 2, 2, 4, 4]
+        assert X.indices.tolist() == [0, 2, 0, 1]
+        assert X.entries.tolist() == [-1.0, 1.5, 3.0, 4.0]
+
+    def test_from_entries_repeated_pair_rejected(self):
+        with pytest.raises(DataError, match="ascending"):
+            SparseMatrix.from_entries([0, 0], [1, 1], [1.0, 2.0], 1, 2)
+
     @pytest.mark.parametrize("indptr, indices, entries, dimension, message", [
         ([0, 1], [0], [float("nan")], 1, "non-finite"),
         ([0, 1], [0], [float("inf")], 1, "non-finite"),
@@ -472,3 +482,74 @@ class TestPlainKeysMatchFeatureKeyReference:
             for X in matrices:
                 cols, values = X.row(r)
                 assert list(zip(cols.tolist(), values.tolist())) == want
+
+
+gram_counts = st.integers(0, 6)  # zero counts are dropped
+
+
+class TestFlatVectorizeMatchesReference:
+    """The flat gather of `vectorize` gives, row by row, the reference's
+    entries in column order: log2 or linear on either channel, zero counts
+    and out-of-vocabulary grams dropped, empty and all-out-of-vocabulary
+    rows kept."""
+
+    KEYS = sorted([FeatureKey(CHAR, ("a",)), FeatureKey(CHAR, ("_", "b")),
+                   FeatureKey(CHAR, ("a", "b", "_")), FeatureKey(POS, ("N",)),
+                   FeatureKey(POS, ("N", "V")), FeatureKey(POS, ("REF@USERNAME",))])
+
+    @given(st.lists(st.tuples(
+               st.dictionaries(st.sampled_from(["a", "_b", "ab_", "z", "zz_"]), gram_counts),
+               st.dictionaries(st.sampled_from([("N",), ("N", "V"), ("REF@USERNAME",), ("V",)]),
+                               gram_counts)),
+               max_size=8),
+           st.sampled_from([LINEAR, LOG2]), st.sampled_from([LINEAR, LOG2]))
+    @settings(max_examples=300)
+    def test_rows(self, samples, char_scale, pos_scale):
+        samples.append(({"z": 3, "zz_": 1}, {("V",): 2}))  # every gram out of vocabulary
+        vocab = Vocabulary(keys=self.KEYS, min_df=1)
+        policy = ScalingPolicy(char_scale, pos_scale)
+        X = vectorize([(Counter(c), Counter(p)) for c, p in samples], vocab, policy)
+        assert len(X) == len(samples) and X.dimension == len(self.KEYS)
+        for r, (chars, tags) in enumerate(samples):
+            want = featurekey_vectorize({FeatureKey(CHAR, tuple(g)): n for g, n in chars.items()},
+                                        {FeatureKey(POS, g): n for g, n in tags.items()},
+                                        self.KEYS, policy)
+            cols, values = X.row(r)
+            assert list(zip(cols.tolist(), values.tolist())) == sorted(want.items())
+
+    def test_log2_entries_are_math_log2(self):
+        vocab = Vocabulary(keys=self.KEYS, min_df=1)
+        counts = [1, 2, 3, 7, 1000, 123457, 2**40 + 1]
+        X = vectorize([(Counter({"a": n}), Counter({("N",): n})) for n in counts],
+                      vocab, ScalingPolicy(LOG2, LOG2))
+        assert X.entries.tolist() == [math.log2(1.0 + n) for n in counts for _ in range(2)]
+
+    def test_no_samples(self):
+        vocab = Vocabulary(keys=self.KEYS, min_df=1)
+        X = vectorize([], vocab, ScalingPolicy(LOG2, LOG2))
+        assert len(X) == 0 and X.indptr.tolist() == [0] and X.entries.size == 0
+        assert X.dimension == len(self.KEYS)
+
+
+class TestContentHashGolden:
+    """`content_hash` digests of keys that need escapes, fixed when the
+    escapes were done one character at a time: the table-driven escape
+    writes the same bytes."""
+
+    @pytest.mark.parametrize("keys, digest", [
+        ([FeatureKey(CHAR, ("\\",))],
+         "a2e65b2584ca7f1e2886b9bb909dc03f63f7b4376a650ae8aa6ba88140d4e93d"),
+        ([FeatureKey(CHAR, ("\t", "\n", "\r"))],
+         "2202057f81ec27a90dfbf88e213711522f165327c8dd01d3e4d620a118f26b62"),
+        ([FeatureKey(CHAR, ("␟",)), FeatureKey(POS, ("N␟", "V"))],
+         "116f167d082db26204ed3dd70b344a7fd91c2c0c698c8d2e872e668f70bda915"),
+        ([FeatureKey(POS, ("a\\b", "N")), FeatureKey(POS, ("U␟\\n", "\t\r\n"))],
+         "3823e98d9baa7246fa20efbe128c85b0898b36480a0fde7219ba29bec9f93a8b"),
+        ([FeatureKey(CHAR, ("_", "a")), FeatureKey(POS, ("N", "V", "REF@USERNAME"))],
+         "db731b98d5119a4d258d24d518dbd46048bfed4b3944eb362262b18f75b47403"),
+    ], ids=["backslash", "tab-newline-return", "unit-separator", "pos-mixed", "plain"])
+    def test_digest(self, keys, digest, tmp_path):
+        vocab = Vocabulary(keys=sorted(keys), min_df=1)
+        assert vocab.content_hash() == digest
+        vocab.save(tmp_path / "v.tsv")
+        assert Vocabulary.load(tmp_path / "v.tsv").content_hash() == digest

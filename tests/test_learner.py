@@ -553,9 +553,11 @@ def solver_problems(draw):
 
 @st.composite
 def gram_problems(draw):
-    """Problems in the Gram regime (n^2 <= nnz): few samples with dense
-    rows, one of them empty, over up to three times as many columns."""
-    n = draw(st.integers(3, 6))
+    """Problems in the Gram regime: few samples with dense rows, one of
+    them empty, over up to three times as many columns; no more than four
+    samples per epoch, so that one- and two-sweep solves stay in it."""
+    epochs = draw(st.integers(1, 40))
+    n = draw(st.integers(3, min(6, 4 * epochs)))
     dim = draw(st.integers(2 * n, 3 * n))
     value = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
     rows = [dict(enumerate(draw(st.lists(value, min_size=dim, max_size=dim)))) for _ in range(n)]
@@ -565,21 +567,21 @@ def gram_problems(draw):
     targets = draw(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5),
                             min_size=n, max_size=n))
     cfg = TrainConfig(c_param=draw(st.sampled_from([1e-4, 0.3, 1.0, 1e4])),
-                      epochs=draw(st.integers(1, 40)),
+                      epochs=epochs,
                       tolerance=draw(st.sampled_from([1e-12, 1e-4, 0.5])),
                       seed=draw(st.integers(0, 2**16)),
                       epsilon=draw(st.sampled_from([0.0, 0.05, 0.3])))
     return SparseMatrix.from_rows(rows, dim), labels, targets, cfg
 
 
-def gram_form(X) -> bool:
-    """The learner's rule: the Gram form when n^2 <= nnz."""
-    return len(X) ** 2 <= X.indptr[-1]
+def gram_form(X, epochs: int) -> bool:
+    """Whether the learner solves X in the Gram form."""
+    return type(learner._prepare(X, epochs)) is learner._GramForm
 
 
 class TestSolverMatchesReferenceLoops:
     """The one box-constrained core reproduces the per-family loops of
-    `oracles` bit for bit, on the state the n^2 <= nnz rule picks:
+    `oracles` bit for bit, on the state the learner's rule picks:
     weights, bias, epochs run and convergence."""
 
     def assert_same(self, weights, bias, objectives, converged, reference):
@@ -591,7 +593,7 @@ class TestSolverMatchesReferenceLoops:
 
     def check(self, problem):
         X, labels, targets, cfg = problem
-        gram = gram_form(X)
+        gram = gram_form(X, cfg.epochs)
         signs = [1 if lab == "a" else -1 for lab in labels]
         model = train_binary(X, signs, cfg)
         self.assert_same(model.weights, model.bias, model.epoch_objectives, model.converged,
@@ -615,8 +617,33 @@ class TestSolverMatchesReferenceLoops:
     @given(gram_problems())
     @settings(max_examples=100, deadline=None)
     def test_gram_regime(self, problem):
-        assert gram_form(problem[0])
+        assert gram_form(problem[0], problem[3].epochs)
         self.check(problem)
+
+
+class TestFormRule:
+    """`_prepare` bounds the Gram build by the row form's whole solve:
+    large pooled training sets at a low epoch cap keep the row form, a
+    few dozen pooled samples get the Gram form."""
+
+    @staticmethod
+    def full_rows(n: int, per_row: int) -> SparseMatrix:
+        return SparseMatrix(np.arange(n + 1) * per_row, np.tile(np.arange(per_row), n),
+                            np.ones(n * per_row), per_row)
+
+    @pytest.mark.parametrize("n, per_row, epochs, form", [
+        (1000, 1100, 20, learner._RowForm),  # build 2.3 s, whole row-form solve 0.18 s
+        (600, 620, 20, learner._RowForm),
+        (28, 1375, 150, learner._GramForm),  # pan-age-traits
+        (70, 660, 50, learner._GramForm),  # split-gender
+        (104, 201, 50, learner._GramForm),  # sweep_gender demo, largest Gram shape
+        (70, 660, 1, learner._RowForm),
+        (4, 4, 1, learner._GramForm),
+        (5, 5, 1, learner._RowForm),
+        (100, 99, 10**6, learner._RowForm),  # Q would be larger than X
+    ])
+    def test_form_for_shape(self, n, per_row, epochs, form):
+        assert type(learner._prepare(self.full_rows(n, per_row), epochs)) is form
 
 
 class TestGramFormMatchesRowForm:
@@ -632,7 +659,7 @@ class TestGramFormMatchesRowForm:
             X = SparseMatrix.from_rows(
                 [{} if i == 0 else {j: rng.uniform(-1, 1) for j in range(dim)} for i in range(n)],
                 dim)
-            assert gram_form(X)
+            assert len(X) ** 2 <= X.indptr[-1]
             cfg = TrainConfig(c_param=rng.uniform(0.05, 1.0), epochs=rng.randint(1, 300),
                               tolerance=1e-4, seed=trial, epsilon=rng.choice([0.0, 0.05, 0.2]))
             c = cfg.c_param

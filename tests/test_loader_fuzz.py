@@ -8,8 +8,9 @@ field or one space-separated word replaced).  Whatever the mutation,
 numbers, anything loaded saves and loads back unchanged, and a
 non-finite number in any bias or weight is rejected.
 
-The text readers (rule file, lexicon, POS sidecar, `truth.txt` and
-FlatCsv) are mutated byte by byte instead, as plain files, as gzip
+The text readers (rule file, lexicon, POS sidecar, `truth.txt`, FlatCsv
+and the prediction and truth files of `styloprof evaluate`) are mutated
+byte by byte instead, as plain files, as gzip
 files of the mutated bytes and as mutated gzip streams: bytes that are
 not UTF-8 and broken gzip streams must also end as a `StyloprofError`.
 """
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from styloprof.cli import _read_label_rows, _read_trait_rows
 from styloprof.corpus import TRAIT_NAMES, CorpusSpec, load_flat_csv, load_pan_truth_dir
 from styloprof.errors import DataError, StyloprofError
 from styloprof.features import (CHAR, POS, FeatureKey, ScalingPolicy, SparseMatrix,
@@ -235,6 +237,10 @@ READERS = {
     "truth": ("truth.txt", "a1:::F:::25-34:::0.1:::-0.2:::0.0:::0.5:::-0.5\na2:::M:::18-24\n",
               _load_truth_dir),
     "flatcsv": ("corpus.csv", 'id,gender,text\n1,F,"hola, señora"\n2,M,casa\n', _load_csv),
+    "label-predictions": ("pred.tsv", "a1\tFemale\t0.25\na2\tMale\t-1.5e-3\n", _read_label_rows),
+    "label-truth": ("truth.tsv", "a1\tFemale\na2\t25-34\n", _read_label_rows),
+    "traits": ("traits.tsv", "a1\tE=0.1\tN=-0.2\tA=0.0\tC=0.5\tO=-0.5\n"
+               "a2\tE=0.25\tN=0.1\tA=-0.3\tC=0.0\tO=0.2\n", _read_trait_rows),
 }
 AUTHOR_FILES = {"a1.txt": "hola gente\n", "a2.txt": "casa\n"}
 WRAPS = ("plain", "gzip-of-mutated", "mutated-gzip")
@@ -323,3 +329,51 @@ def test_bad_bytes_name_the_file(reader_dirs, reader, wrap, op, message):
     with pytest.raises(DataError, match=message) as info:
         loader(path)
     assert str(path) in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# line-level fuzzing of the `styloprof evaluate` readers: whatever they
+# accept has the documented shape
+
+EVALUATE_FILES = {name: READERS[name] for name in ("label-predictions", "label-truth", "traits")}
+
+
+@pytest.mark.parametrize("reader", EVALUATE_FILES)
+@given(ops=st.lists(mutation, min_size=1, max_size=3))
+@FUZZ
+def test_mutated_evaluate_rows(tmp_path_factory, reader, ops):
+    name, text, loader = EVALUATE_FILES[reader]
+    lines = text.splitlines()
+    for op in ops:
+        lines = mutate(lines, op)
+    path = tmp_path_factory.mktemp(reader) / name
+    write(path, lines)
+    rows = load_or_reject(loader, path)
+    if rows is None:
+        return
+    kept = [line.split("\t") for line in lines if line.strip()]
+    assert [row[0] for row in rows] == [fields[0] for fields in kept]
+    for fields, (sid, value) in zip(kept, rows):
+        if reader == "traits":
+            assert sorted(value) == sorted(TRAIT_NAMES)
+            assert all(np.isfinite(v) for v in value.values())
+        else:
+            assert len(fields) in (2, 3) and value == fields[1] != ""
+            assert len(fields) == 2 or np.isfinite(float(fields[2]))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a\tF\tnan", "non-finite margin 'nan'"),
+    ("a\tF\t-inf", "non-finite margin '-inf'"),
+    ("a\tF\t1e999", "non-finite margin '1e999'"),
+    ("a\tF\tx", "unparsable margin 'x'"),
+    ("a\tF\t", "unparsable margin ''"),
+    ("a\tF\t1\tx", "expected `sample_id<TAB>label"),
+    ("a", "expected `sample_id<TAB>label"),
+    ("a\t", "expected `sample_id<TAB>label"),
+])
+def test_malformed_label_row_rejected(tmp_path, line, message):
+    write(tmp_path / "pred.tsv", ["b\tM\t0.5", line])
+    with pytest.raises(DataError, match=message) as info:
+        _read_label_rows(tmp_path / "pred.tsv")
+    assert f"{tmp_path / 'pred.tsv'}:2:" in str(info.value)

@@ -1,6 +1,8 @@
 """POS tag reduction, REF relabeling, tagged-file ingestion, fallback tagger."""
 
 import gzip
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from styloprof.pos import (
     relabel,
     simple_tokenize,
 )
+
+from oracles import reference_fallback_tag, reference_relabel, reference_tokenize
 
 # tokens of the normalized example tweet with plausible fine tags
 EXAMPLE_TOKENS = [
@@ -219,3 +223,58 @@ class TestSimpleTokenize:
         # tokens of each chunk concatenate back to the chunk
         tokens = simple_tokenize(text)
         assert "".join(tokens) == "".join(text.split())
+
+
+def test_letters_and_digits_are_never_punctuation_or_symbols():
+    """`simple_tokenize` keeps a chunk for which `str.isalnum()` holds
+    whole without scanning it, which is right only while no such
+    character is in a P* or S* category of this Python's Unicode data."""
+    clashes = [hex(cp) for cp in range(sys.maxunicode + 1)
+               if chr(cp).isalnum() and unicodedata.category(chr(cp))[0] in "PS"]
+    assert clashes == []
+
+
+# letters with and without case, digits of several scripts, numbers that
+# are not decimal, a combining mark, punctuation and symbols, the marker
+# and hashtag prefixes
+TAGGER_ALPHABET = "aZñßǅ9٣²Ⅻ́.,!?¿()\"'-_@#:;€+😀"
+tagger_words = st.one_of(
+    st.text(alphabet=TAGGER_ALPHABET, min_size=1, max_size=6),
+    st.sampled_from(["@us", "htt", "#tag", "#", "10.5", "1,52", "3.14.15", ":)", "¿?", "...",
+                     "Run", "RUN", "run!", "(run)", "@us,", "#ß"]),
+)
+tagger_texts = st.lists(st.tuples(tagger_words, st.sampled_from([" ", "  ", "\t", "\n"])),
+                        max_size=12).map(lambda parts: "".join(w + sep for w, sep in parts))
+tagger_lexicons = st.dictionaries(
+    st.sampled_from(["run", "a", "ñ", "ß", "10.5", "@us", "#tag", "!", "z9"]),
+    st.sampled_from(["V", "NC", "vmip", "ß", "REF@USERNAME", "REFX", "Z", ""]),
+    max_size=5)
+
+
+class TestTaggerMatchesReferenceLoops:
+    """Tokenizer, fallback tagger and relabel agree with the per-character
+    and per-marker loops of `oracles`, also on lexicon values that are
+    several letters, REF tags or empty."""
+
+    @given(tagger_texts, tagger_lexicons)
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_tags_and_stream(self, text, lexicon):
+        tokens = simple_tokenize(text)
+        assert tokens == reference_tokenize(text)
+        tagged = fallback_tag(tokens, lexicon)
+        assert all(type(tok) is TaggedToken for tok in tagged)
+        assert [(tok.surface, tok.fine_tag) for tok in tagged] == reference_fallback_tag(tokens, lexicon)
+        try:
+            want = reference_relabel(reference_fallback_tag(tokens, lexicon))
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                relabel(tagged)
+            assert str(got.value) == str(exc)
+        else:
+            assert relabel(tagged) == want
+
+    def test_empty_lexicon_value_raises(self):
+        tagged = fallback_tag(["run", "@us", "#tag"], {"run": "", "@us": "", "#tag": ""})
+        assert relabel(tagged[1:]) == [REF_USERNAME, REF_HASHTAG]
+        with pytest.raises(DataError, match="'run' has no POS tag and no special form"):
+            relabel(tagged)
