@@ -14,24 +14,19 @@ import sys
 
 from .corpus import FORMATS, LANGUAGES, TRAIT_NAMES, CorpusSpec, open_text
 from .errors import ConfigError, DataError, StyloprofError
-from .experiment import (as_samples, parse_config_file, predict_samples,
-                         prepare_corpus, render_result, run_experiment,
-                         sample_counts, train_full, truth_rows)
+from .experiment import (as_samples, load_rules_and_lexicon, parse_config_file,
+                         predict_samples, prepare_corpus, render_result,
+                         run_experiment, sample_counts, train_full, truth_rows)
 from .features import Vocabulary, build_vocabulary
 from .learner import load_model, save_model
 from .metrics import confusion, render_report, render_trait_report, report, trait_rmse_report
-from .normalize import default_rules, load_rules, normalize
-from .pos import load_lexicon
+from .normalize import normalize
 
 
 def _write_lines(path, lines) -> None:
     with open_text(path, "wt", newline="") as fh:
         for line in lines:
             fh.write(line + "\n")
-
-
-def _load_ruleset(args):
-    return load_rules(args.rules) if args.rules else default_rules(args.language)
 
 
 def _corpus_spec(args) -> CorpusSpec:
@@ -42,8 +37,7 @@ def _corpus_spec(args) -> CorpusSpec:
 
 def _prepared_samples(args):
     warnings: list[str] = []
-    rules = _load_ruleset(args)
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else {}
+    rules, lexicon = load_rules_and_lexicon(args.rules, args.lexicon, args.language)
     prepared = prepare_corpus(_corpus_spec(args), rules, lexicon, warnings)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -54,7 +48,7 @@ def _prepared_samples(args):
 # subcommand handlers
 
 def _cmd_normalize(args) -> int:
-    rules = _load_ruleset(args)
+    rules, _ = load_rules_and_lexicon(args.rules, None, args.language)
     with open_text(args.input) as fh:
         lines = fh.read().splitlines()
     out_lines, log_lines = [], []

@@ -107,9 +107,6 @@ class Sample:
         if not self.documents:
             raise DataError(f"sample {self.id!r} has no documents")
 
-    def text(self) -> str:
-        return "\n".join(doc.text for doc in self.documents)
-
 
 @dataclass
 class LabeledDocument:

@@ -2,14 +2,18 @@
 
 A flat INI config describes a full experiment: corpora, task, scaling,
 split, training hyperparameters, and optionally a sample-size sweep.
-Three protocols are supported:
+Every corpus is prepared the same way: its documents are normalized and
+POS-tagged (a sidecar file per flat file or per author, else the fallback
+tagger) and grouped into samples, a truth dir's by author and a flat
+file's by class in chunks of `grouping_k`.  Three protocols are supported:
 
-* split mode   — no [test_corpus] section: group (flat corpora), then a
-  seeded stratified split of the samples;
+* split mode   — no [test_corpus] section: a seeded stratified split of
+  the samples;
 * cross mode   — [test_corpus] present: train on the whole training
   corpus, evaluate on the whole external corpus, no split;
 * sweep mode   — [sweep] present: one independent sub-experiment per
-  sample size k, each with fresh grouping, split, vocabulary and model.
+  sample size k, each regrouping the documents into samples of k, with
+  its own split, vocabulary and model.
 
 Result files carry enough provenance (config text and hash, corpus
 fingerprints, seeds, vocabulary hash) to re-run identically; wall-clock
@@ -249,13 +253,18 @@ def parse_config_file(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# corpus preparation: normalization + POS streams at the document level
+# corpus preparation: normalization, POS streams and grouping into samples
+
+def load_rules_and_lexicon(rules_path: str | None, lexicon_path: str | None, language: str):
+    """(rules, lexicon): the rules file, else the default rules for
+    `language`, and the lexicon file, else an empty lexicon."""
+    rules = load_rules(rules_path) if rules_path else default_rules(language)
+    return rules, load_lexicon(lexicon_path) if lexicon_path else {}
+
 
 @dataclass
 class PreparedCorpus:
-    samples: list[Sample] | None          # truth-dir corpora
-    docs: list[LabeledDocument] | None    # flat corpora, pre-grouping
-    grouping_k: int | None
+    samples: list[Sample]
     pos_source: str                       # sidecar | fallback | mixed(...)
     fingerprint: str
 
@@ -267,20 +276,10 @@ def _sidecar_path(base: str) -> str | None:
     return None
 
 
-def _fallback_stream(text: str, lexicon) -> list[str]:
-    return relabel(fallback_tag(simple_tokenize(text), lexicon))
-
-
 def _process_document(doc: Document, rules, lexicon, stream=None) -> Document:
     normalized = normalize(doc.text, rules).text
-    tags = stream if stream is not None else _fallback_stream(normalized, lexicon)
+    tags = stream if stream is not None else relabel(fallback_tag(simple_tokenize(normalized), lexicon))
     return Document(id=doc.id, text=normalized, pos_tags=tuple(tags))
-
-
-def _hash_file(h, path):
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
 
 
 def _corpus_fingerprint(paths) -> str:
@@ -290,7 +289,9 @@ def _corpus_fingerprint(paths) -> str:
     for path in sorted(set(paths), key=os.path.basename):
         h.update(os.path.basename(path).encode("utf-8"))
         h.update(b"\x00")
-        _hash_file(h, path)
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                h.update(chunk)
     return h.hexdigest()
 
 
@@ -306,58 +307,69 @@ def _sidecar_streams(sidecar: str, n_docs: int, owner: str, rules) -> list[list[
             for block in blocks]
 
 
-def prepare_corpus(spec: CorpusSpec, rules, lexicon, warnings: list[str]) -> PreparedCorpus:
-    """Load a corpus and attach normalized text and POS streams to every
-    document.  Pre-tagged sidecar files win over the fallback tagger."""
+def _layout(spec: CorpusSpec):
+    """Everything preparation must know of a corpus's layout: its sidecar
+    units, each (source file, sidecar base path, owner named in block-count
+    errors, documents), as one flat file or one per author; the files read
+    besides the sources; the warning for a corpus with no sidecar; and how
+    the units' processed documents group into samples."""
     if spec.format == "FlatCsv":
         if not os.path.exists(spec.path):
             raise DataError(f"corpus file not found: {spec.path}")
-        sidecar = _sidecar_path(spec.path)
-        fingerprint = _corpus_fingerprint([spec.path] + ([sidecar] if sidecar else []))
-        docs = load_flat_csv(spec)
-        if sidecar:
-            streams = _sidecar_streams(sidecar, len(docs), f"the corpus has {len(docs)} rows", rules)
-            pos_source = "sidecar"
-        else:
-            streams = [None] * len(docs)
-            pos_source = "fallback"
-            warnings.append(f"no POS sidecar next to {spec.path}; used the fallback tagger")
-        processed = [
-            LabeledDocument(document=_process_document(d.document, rules, lexicon, stream), labels=d.labels)
-            for d, stream in zip(docs, streams)
-        ]
-        return PreparedCorpus(samples=None, docs=processed, grouping_k=spec.grouping_k or 1,
-                              pos_source=pos_source, fingerprint=fingerprint)
-
+        rows = load_flat_csv(spec)
+        units = [(spec.path, spec.path, f"the corpus has {len(rows)} rows", [r.document for r in rows])]
+        return (units, [], f"no POS sidecar next to {spec.path}; used the fallback tagger",
+                lambda unit_docs: group_into_samples(
+                    [LabeledDocument(doc, row.labels) for doc, row in zip(unit_docs[0], rows)],
+                    spec.grouping_k or 1))
     if not os.path.isdir(spec.path):
         raise DataError(f"corpus directory not found: {spec.path}")
-    samples = load_pan_truth_dir(spec)
-    loaded = [truth_path(spec.path)]
-    tagged = 0
-    processed_samples = []
-    for sample in samples:
-        loaded.append(author_path(spec.path, sample.id))
-        sidecar = _sidecar_path(os.path.join(spec.path, sample.id))
+    authors = load_pan_truth_dir(spec)
+    units = [(author_path(spec.path, a.id), os.path.join(spec.path, a.id),
+              f"author {a.id!r} has {len(a.documents)}", a.documents) for a in authors]
+    return (units, [truth_path(spec.path)], f"no POS sidecars in {spec.path}; used the fallback tagger",
+            lambda unit_docs: [Sample(a.id, docs, a.labels) for a, docs in zip(authors, unit_docs)])
+
+
+def prepare_corpus(spec: CorpusSpec, rules, lexicon, warnings: list[str]) -> PreparedCorpus:
+    """Load a corpus, attach normalized text and POS streams to every
+    document, and group the documents into samples: a truth dir's by
+    author, a flat file's by class in chunks of `grouping_k` (default 1).
+    Pre-tagged sidecar files win over the fallback tagger."""
+    units, loaded, fallback_warning, group = _layout(spec)
+    unit_docs, tagged = [], 0
+    for source, sidecar_base, owner, docs in units:
+        loaded.append(source)
+        sidecar = _sidecar_path(sidecar_base)
         if sidecar:
             loaded.append(sidecar)
-            n_docs = len(sample.documents)
-            streams = _sidecar_streams(sidecar, n_docs, f"author {sample.id!r} has {n_docs}", rules)
+            streams = _sidecar_streams(sidecar, len(docs), owner, rules)
             tagged += 1
         else:
-            streams = [None] * len(sample.documents)
-        docs = [_process_document(doc, rules, lexicon, stream)
-                for doc, stream in zip(sample.documents, streams)]
-        processed_samples.append(Sample(id=sample.id, documents=docs, labels=sample.labels))
-    if tagged == len(samples):
+            streams = [None] * len(docs)
+        unit_docs.append([_process_document(doc, rules, lexicon, stream)
+                          for doc, stream in zip(docs, streams)])
+    if tagged == len(units):
         pos_source = "sidecar"
     elif tagged == 0:
         pos_source = "fallback"
-        warnings.append(f"no POS sidecars in {spec.path}; used the fallback tagger")
+        warnings.append(fallback_warning)
     else:
-        pos_source = f"mixed({tagged}/{len(samples)} sidecars)"
-        warnings.append(f"POS sidecars found for only {tagged} of {len(samples)} authors in {spec.path}")
-    return PreparedCorpus(samples=processed_samples, docs=None, grouping_k=None,
-                          pos_source=pos_source, fingerprint=_corpus_fingerprint(loaded))
+        pos_source = f"mixed({tagged}/{len(units)} sidecars)"
+        warnings.append(f"POS sidecars found for only {tagged} of {len(units)} authors in {spec.path}")
+    return PreparedCorpus(samples=group(unit_docs), pos_source=pos_source,
+                          fingerprint=_corpus_fingerprint(loaded))
+
+
+def as_samples(prepared: PreparedCorpus, k: int | None = None) -> list[Sample]:
+    """The prepared samples; with `k`, their documents regrouped by class
+    in chunks of k.  Grouping keeps the order in which classes first
+    appear and the order within each class, so regrouping a flat file's
+    samples gives the samples that grouping its rows by k gives."""
+    if k is None:
+        return prepared.samples
+    return group_into_samples([LabeledDocument(doc, s.labels) for s in prepared.samples
+                               for doc in s.documents], k)
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +415,31 @@ def _first_appearance(values) -> list:
     return list(dict.fromkeys(values))
 
 
+_MODEL_KIND = {"gender": "binary", "age": "ovr", "traits": "traits"}
+
+# model kind -> the label it learns: LabelSet attribute, name in messages
+_LABELS = {"binary": ("gender", "gender"), "ovr": ("age_band", "age band"),
+           "traits": ("traits", "traits")}
+
+
 def _train_task(task: str, X, train_samples: list[Sample], tc: TrainConfig,
                 policy: ScalingPolicy, vocab_hash: str, warnings: list[str]) -> ModelBundle:
     """Fit the task's model; warns when submodels stopped at the epoch cap."""
-    if task == "gender":
-        labels = [_require(s.labels.gender, s, "gender") for s in train_samples]
+    kind = _MODEL_KIND[task]
+    labels = [value for _, value in truth_rows(kind, train_samples)]
+    if kind == "binary":
         classes = _first_appearance(labels)
         if len(classes) != 2:
             raise DataError(f"gender task needs exactly two classes in training data, got {classes}")
         y = [1 if lab == classes[0] else -1 for lab in labels]
         model = train_binary(X, y, tc, label_positive=classes[0], label_negative=classes[1])
-        kind, converged = "binary", [model.converged]
-    elif task == "age":
-        labels = [_require(s.labels.age_band, s, "age band") for s in train_samples]
+        converged = [model.converged]
+    elif kind == "ovr":
         model = train_ovr(X, labels, tc)
-        kind, converged = "ovr", [m.converged for m in model.models]
+        converged = [m.converged for m in model.models]
     else:
-        targets = [_require(s.labels.traits, s, "traits") for s in train_samples]
-        model = train_traits(X, targets, tc)
-        kind, converged = "traits", list(model.converged.values())
+        model = train_traits(X, labels, tc)
+        converged = list(model.converged.values())
     capped = converged.count(False)
     if capped:
         warnings.append(f"{capped} of {len(converged)} submodels stopped at the epoch cap "
@@ -446,14 +464,14 @@ def predict_samples(bundle: ModelBundle, vocab: Vocabulary, samples: list[Sample
 
 
 def truth_rows(kind: str, samples: list[Sample]) -> list[tuple]:
+    """(sample id, label) per sample, the label a model of `kind` learns."""
+    attribute, name = _LABELS[kind]
     rows = []
     for sample in samples:
-        if kind == "binary":
-            rows.append((sample.id, _require(sample.labels.gender, sample, "gender")))
-        elif kind == "ovr":
-            rows.append((sample.id, _require(sample.labels.age_band, sample, "age band")))
-        else:
-            rows.append((sample.id, _require(sample.labels.traits, sample, "traits")))
+        value = getattr(sample.labels, attribute)
+        if value is None:
+            raise DataError(f"sample {sample.id!r} lacks a {name} label")
+        rows.append((sample.id, value))
     return rows
 
 
@@ -496,19 +514,12 @@ def train_full(cfg: ExperimentConfig):
     """Train on the whole training corpus, no split.  Returns the fitted
     vocabulary, the model bundle, the sample count and any warnings."""
     warnings: list[str] = []
-    rules = load_rules(cfg.rules_path) if cfg.rules_path else default_rules(cfg.train_corpus.language)
-    lexicon = load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else {}
+    rules, lexicon = load_rules_and_lexicon(cfg.rules_path, cfg.lexicon_path, cfg.train_corpus.language)
     prepared = prepare_corpus(cfg.train_corpus, rules, lexicon, warnings)
     samples = as_samples(prepared)
     vocab, bundle = _fit(cfg.task, samples, cfg.resolved_scaling(), cfg.min_df,
                          cfg.train_config, warnings)
     return vocab, bundle, len(samples), warnings
-
-
-def _require(value, sample: Sample, what: str):
-    if value is None:
-        raise DataError(f"sample {sample.id!r} lacks a {what} label")
-    return value
 
 
 _SPLIT_KEY = {"gender": "gender", "age": "age_band", "traits": "gender"}
@@ -533,8 +544,7 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     warnings: list[str] = []
     timings: list[tuple[str, float]] = []
-    rules = load_rules(cfg.rules_path) if cfg.rules_path else default_rules(cfg.train_corpus.language)
-    lexicon = load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else {}
+    rules, lexicon = load_rules_and_lexicon(cfg.rules_path, cfg.lexicon_path, cfg.train_corpus.language)
 
     t0 = time.perf_counter()
     train_prepared = prepare_corpus(cfg.train_corpus, rules, lexicon, warnings)
@@ -543,7 +553,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if cfg.test_corpus.language != cfg.train_corpus.language:
             warnings.append("train and test corpora declare different languages; "
                             "scaling follows the train corpus")
-        test_rules = load_rules(cfg.rules_path) if cfg.rules_path else default_rules(cfg.test_corpus.language)
+        # a rules file serves both corpora; default rules follow each one's language
+        test_rules = rules if cfg.rules_path else default_rules(cfg.test_corpus.language)
         test_prepared = prepare_corpus(cfg.test_corpus, test_rules, lexicon, warnings)
     timings.append(("load_and_process", time.perf_counter() - t0))
 
@@ -597,18 +608,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                             sweep_classes=None, config_text=cfg.raw_text, timings=timings)
 
 
-def as_samples(prepared: PreparedCorpus, k: int | None = None) -> list[Sample]:
-    if prepared.samples is not None:
-        return prepared.samples
-    return group_into_samples(prepared.docs, k if k is not None else prepared.grouping_k)
-
-
 def _run_sweep(cfg: ExperimentConfig, prepared: PreparedCorpus,
                policy: ScalingPolicy, timings, warnings: list[str]) -> tuple[list[dict], list]:
     """One independent micro-experiment per sample size; vocabulary and
     model are rebuilt from scratch for every k."""
-    classes = _first_appearance(
-        d.labels.gender for d in prepared.docs if d.labels.gender is not None)
+    classes = _first_appearance(s.labels.gender for s in prepared.samples)
     rows = []
     for k in cfg.sweep_k:
         t0 = time.perf_counter()

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -199,13 +200,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def column(self, key: FeatureKey) -> int | None:
-        if key.channel == CHAR:
-            return self.char_index.get("".join(key.gram))
-        if key.channel == POS:
-            return self.pos_index.get(key.gram)
-        return None
-
     def content_hash(self) -> str:
         """SHA-256 of the vocabulary file's key lines without their column,
         each ended by a newline."""
@@ -272,22 +266,19 @@ _UNESCAPES = {"\\": "\\", "U": UNIT_SEP, "t": "\t", "n": "\n", "r": "\r"}
 
 
 _ESCAPE_TABLE = str.maketrans(_ESCAPES)
+# a backslash and the character after it, or the end of the unit
+_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
 
 
 def _unescape_unit(unit: str) -> str:
-    out = []
-    i = 0
-    while i < len(unit):
-        ch = unit[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(unit) or unit[i + 1] not in _UNESCAPES:
-            raise DataError(f"bad escape sequence in vocabulary unit: {unit!r}")
-        out.append(_UNESCAPES[unit[i + 1]])
-        i += 2
-    return "".join(out)
+    try:
+        return _ESCAPE_SEQUENCE.sub(_unescape_sequence, unit)
+    except KeyError:
+        raise DataError(f"bad escape sequence in vocabulary unit: {unit!r}") from None
+
+
+def _unescape_sequence(match: re.Match) -> str:
+    return _UNESCAPES[match[1]]
 
 
 def _key_line(key: FeatureKey) -> str:

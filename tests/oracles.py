@@ -7,17 +7,24 @@ between the two is evidence rather than tautology.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import random
 import re
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from styloprof.corpus import (Document, LabeledDocument, Sample, author_path, group_into_samples,
+                              load_flat_csv, load_pan_truth_dir, truth_path)
 from styloprof.errors import DataError
 from styloprof.features import LINEAR, FeatureKey
+from styloprof.normalize import normalize
+from styloprof.pos import TaggedToken, fallback_tag, ingest_tagged_file, relabel, simple_tokenize
 
 PAD = "_"
 
@@ -462,3 +469,106 @@ def reference_solve_eps(X, t, cfg, gram=False):
         if worst < cfg.tolerance:
             break
     return (*result(beta.tolist()), epochs, worst < cfg.tolerance)
+
+
+# ---------------------------------------------------------------------------
+# Corpus preparation in two branches, one per layout, as it stood before
+# the library took one sidecar loop for both: a flat file comes back as
+# ungrouped documents plus its grouping_k, a truth dir as one sample per
+# author, and `reference_as_samples` groups the former on demand.  The
+# library groups at preparation and must give the same samples, documents,
+# tags, labels, POS source, fingerprint and warnings.
+
+@dataclass
+class ReferencePrepared:
+    samples: list | None
+    docs: list | None
+    grouping_k: int | None
+    pos_source: str
+    fingerprint: str
+
+
+def _reference_sidecar(base: str):
+    for candidate in (base + ".pos", base + ".pos.gz"):
+        if os.path.exists(candidate):
+            return candidate
+    return None
+
+
+def _reference_fingerprint(paths) -> str:
+    h = hashlib.sha256()
+    for path in sorted(set(paths), key=os.path.basename):
+        h.update(os.path.basename(path).encode("utf-8"))
+        h.update(b"\x00")
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def _reference_streams(sidecar, n_docs, owner, rules):
+    blocks = ingest_tagged_file(sidecar)
+    if len(blocks) != n_docs:
+        raise DataError(f"{sidecar}: {len(blocks)} tagged documents but {owner}")
+    return [relabel([TaggedToken(normalize(tok.surface, rules).text, tok.fine_tag) for tok in block])
+            for block in blocks]
+
+
+def _reference_document(doc, rules, lexicon, stream):
+    text = normalize(doc.text, rules).text
+    tags = stream if stream is not None else relabel(fallback_tag(simple_tokenize(text), lexicon))
+    return Document(id=doc.id, text=text, pos_tags=tuple(tags))
+
+
+def reference_prepare_corpus(spec, rules, lexicon, warnings) -> ReferencePrepared:
+    if spec.format == "FlatCsv":
+        if not os.path.exists(spec.path):
+            raise DataError(f"corpus file not found: {spec.path}")
+        sidecar = _reference_sidecar(spec.path)
+        fingerprint = _reference_fingerprint([spec.path] + ([sidecar] if sidecar else []))
+        docs = load_flat_csv(spec)
+        if sidecar:
+            streams = _reference_streams(sidecar, len(docs), f"the corpus has {len(docs)} rows", rules)
+            pos_source = "sidecar"
+        else:
+            streams = [None] * len(docs)
+            pos_source = "fallback"
+            warnings.append(f"no POS sidecar next to {spec.path}; used the fallback tagger")
+        processed = [LabeledDocument(_reference_document(d.document, rules, lexicon, stream), d.labels)
+                     for d, stream in zip(docs, streams)]
+        return ReferencePrepared(None, processed, spec.grouping_k or 1, pos_source, fingerprint)
+
+    if not os.path.isdir(spec.path):
+        raise DataError(f"corpus directory not found: {spec.path}")
+    samples = load_pan_truth_dir(spec)
+    loaded = [truth_path(spec.path)]
+    tagged = 0
+    processed_samples = []
+    for sample in samples:
+        loaded.append(author_path(spec.path, sample.id))
+        sidecar = _reference_sidecar(os.path.join(spec.path, sample.id))
+        n_docs = len(sample.documents)
+        if sidecar:
+            loaded.append(sidecar)
+            streams = _reference_streams(sidecar, n_docs, f"author {sample.id!r} has {n_docs}", rules)
+            tagged += 1
+        else:
+            streams = [None] * n_docs
+        processed_samples.append(Sample(
+            id=sample.id, labels=sample.labels,
+            documents=[_reference_document(doc, rules, lexicon, stream)
+                       for doc, stream in zip(sample.documents, streams)]))
+    if tagged == len(samples):
+        pos_source = "sidecar"
+    elif tagged == 0:
+        pos_source = "fallback"
+        warnings.append(f"no POS sidecars in {spec.path}; used the fallback tagger")
+    else:
+        pos_source = f"mixed({tagged}/{len(samples)} sidecars)"
+        warnings.append(f"POS sidecars found for only {tagged} of {len(samples)} authors in {spec.path}")
+    return ReferencePrepared(processed_samples, None, None, pos_source, _reference_fingerprint(loaded))
+
+
+def reference_as_samples(prepared: ReferencePrepared, k=None) -> list:
+    if prepared.samples is not None:
+        return prepared.samples
+    return group_into_samples(prepared.docs, k if k is not None else prepared.grouping_k)

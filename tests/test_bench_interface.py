@@ -108,9 +108,10 @@ def test_install_trace_uninstall(tmp_path, monkeypatch):
     # corpus: every document tagged once, every sample counted once, and
     # one stored entry per in-vocabulary gram with a nonzero count
     prepared = experiment.prepare_corpus(cfg.train_corpus, default_rules("es"), {}, [])
-    docs = [labeled.document for labeled in prepared.docs]
     pooled = [doc for s in experiment.as_samples(prepared) for doc in s.documents]
-    assert run_counts["pos.tokens"] == sum(len(doc.pos_tags) for doc in docs)
+    docs = {doc.id: doc for doc in pooled}
+    assert len(docs) == len(pooled) == 80
+    assert run_counts["pos.tokens"] == sum(len(doc.pos_tags) for doc in docs.values())
     assert run_counts["features.char_grams"] == sum(
         sum(ngram_reference(doc.text, 1, 3).values()) for doc in pooled)
     assert run_counts["features.pos_grams"] == sum(

@@ -109,14 +109,6 @@ class TestDomainTypes:
         with pytest.raises(DataError):
             Sample(id="s", documents=[], labels=LabelSet(gender="Male"))
 
-    def test_sample_text_joins_documents(self):
-        sample = Sample(
-            id="s",
-            documents=[Document(id="a", text="uno"), Document(id="b", text="dos")],
-            labels=LabelSet(gender="Male"),
-        )
-        assert sample.text() == "uno\ndos"
-
     def test_corpus_spec_validation(self):
         with pytest.raises(ConfigError):
             CorpusSpec(format="Weird", path="x", language="es")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from styloprof import experiment
 from styloprof.corpus import (
     CorpusSpec,
     Document,
@@ -19,6 +20,7 @@ from styloprof.corpus import (
 from styloprof.errors import ConfigError, DataError
 from styloprof.experiment import (
     ExperimentResult,
+    as_samples,
     extract_config,
     parse_config_file,
     parse_config_text,
@@ -28,11 +30,14 @@ from styloprof.experiment import (
     run_single,
     strip_timings,
     train_full,
+    truth_rows,
 )
 from styloprof.features import ScalingPolicy
 from styloprof.learner import TrainConfig
-from styloprof.normalize import default_rules
+from styloprof.normalize import default_rules, load_rules
 from styloprof.synthetic import write_marker_csv, write_sweep_csv
+
+from oracles import reference_as_samples, reference_prepare_corpus
 
 # every character but "\n" that `str.splitlines` breaks a line on
 LINE_BREAKERS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -218,6 +223,10 @@ k_values = 1, 2
         assert cfg.lexicon_path == str(tmp_path / "words.tsv")
 
 
+def documents_by_id(prepared) -> dict:
+    return {doc.id: doc for sample in prepared.samples for doc in sample.documents}
+
+
 class TestPrepareCorpus:
     def spec(self, tmp_path, **kw):
         return CorpusSpec(format="FlatCsv", path=str(tmp_path / "c.csv"),
@@ -229,7 +238,7 @@ class TestPrepareCorpus:
         prepared = prepare_corpus(self.spec(tmp_path), default_rules("es"), {}, warnings)
         assert prepared.pos_source == "fallback"
         assert any("fallback tagger" in w for w in warnings)
-        assert all(d.document.pos_tags for d in prepared.docs)
+        assert all(doc.pos_tags for doc in documents_by_id(prepared).values())
 
     def test_sidecar_wins_over_fallback(self, tmp_path):
         docs = [
@@ -245,8 +254,9 @@ class TestPrepareCorpus:
         assert warnings == []
         # sidecar surfaces pass through normalization before relabeling, so
         # the raw handle still maps to the reference tag
-        assert prepared.docs[0].document.pos_tags == ("N", "REF@USERNAME")
-        assert prepared.docs[1].document.pos_tags == ("V", "REF#LINK")
+        docs = documents_by_id(prepared)
+        assert docs["d0"].pos_tags == ("N", "REF@USERNAME")
+        assert docs["d1"].pos_tags == ("V", "REF#LINK")
 
     def test_gzipped_sidecar(self, tmp_path):
         write_marker_csv(tmp_path / "c.csv", n_docs=2)
@@ -255,7 +265,7 @@ class TestPrepareCorpus:
             fh.write(body)
         prepared = prepare_corpus(self.spec(tmp_path), default_rules("es"), {}, [])
         assert prepared.pos_source == "sidecar"
-        assert prepared.docs[0].document.pos_tags == ("N",)
+        assert documents_by_id(prepared)["d0000"].pos_tags == ("N",)
 
     def test_sidecar_block_count_mismatch(self, tmp_path):
         write_marker_csv(tmp_path / "c.csv", n_docs=3)
@@ -292,7 +302,84 @@ class TestPrepareCorpus:
                 LabeledDocument(Document("d1", "hola"), LabelSet(gender="Male"))]
         save_flat_csv(docs, tmp_path / "c.csv")
         prepared = prepare_corpus(self.spec(tmp_path), default_rules("es"), {}, [])
-        assert prepared.docs[0].document.text == "ver htt ya"
+        assert documents_by_id(prepared)["d0"].text == "ver htt ya"
+
+
+def sample_view(samples) -> list:
+    return [(s.id, s.labels, [(d.id, d.text, d.pos_tags) for d in s.documents]) for s in samples]
+
+
+class TestPrepareMatchesReference:
+    """One sidecar loop and grouping at preparation give what the
+    two-branch form in `oracles` gives, for both layouts."""
+
+    TEXTS = ("hola @amigo :)", "ver http://x.co ya!!!", "#finde con gente",
+             "cosa 12 nueva", "@otra dice http://y.es", "bueno bueno ^^", "que tal ????")
+
+    @staticmethod
+    def write_sidecar(path, docs, suffix):
+        tags = ("NCMS000", "VMIP3S0", "AQ0CS0", "SP")
+        blocks = ["".join(f"{tok}\t{tags[(i + j) % 4]}\n" for j, tok in enumerate(doc.text.split()))
+                  for i, doc in enumerate(docs)]
+        opener = gzip.open if suffix.endswith(".gz") else open
+        with opener(str(path) + suffix, "wt", encoding="utf-8") as fh:
+            fh.write("\n".join(blocks))
+
+    def assert_same(self, spec, rules=None):
+        rules = rules or default_rules("es")
+        warnings, expected_warnings = [], []
+        prepared = prepare_corpus(spec, rules, {"gente": "N", "dice": "V"}, warnings)
+        expected = reference_prepare_corpus(spec, rules, {"gente": "N", "dice": "V"},
+                                            expected_warnings)
+        assert sample_view(as_samples(prepared)) == sample_view(reference_as_samples(expected))
+        assert prepared.pos_source == expected.pos_source
+        assert prepared.fingerprint == expected.fingerprint
+        assert warnings == expected_warnings
+        return prepared, expected
+
+    @pytest.mark.parametrize("grouping_k", [None, 1, 3])
+    @pytest.mark.parametrize("sidecar", [None, ".pos", ".pos.gz"])
+    def test_flat_file(self, tmp_path, sidecar, grouping_k):
+        genders = "FMMFFFMFMMMFFMF"
+        docs = [LabeledDocument(Document(f"r{i:02d}", self.TEXTS[i % len(self.TEXTS)]),
+                                LabelSet(gender="Female" if g == "F" else "Male"))
+                for i, g in enumerate(genders)]
+        save_flat_csv(docs, tmp_path / "c.csv")
+        if sidecar:
+            self.write_sidecar(tmp_path / "c.csv", [d.document for d in docs], sidecar)
+        spec = CorpusSpec(format="FlatCsv", path=str(tmp_path / "c.csv"), language="es",
+                          grouping_k=grouping_k)
+        prepared, expected = self.assert_same(spec)
+        assert prepared.pos_source == ("sidecar" if sidecar else "fallback")
+        for k in range(1, 6):
+            assert sample_view(as_samples(prepared, k)) == \
+                sample_view(reference_as_samples(expected, k))
+
+    @pytest.mark.parametrize("tagged", [(), (1, 3), (0, 1, 2, 3, 4)])
+    def test_truth_dir(self, tmp_path, tagged):
+        samples = truth_dir_samples(5)
+        for i, sample in enumerate(samples):
+            sample.documents = [Document(d.id, f"{d.text} {self.TEXTS[(i + j) % len(self.TEXTS)]}")
+                                for j, d in enumerate(sample.documents)]
+        save_pan_truth_dir(samples, str(tmp_path / "pan"))
+        for i in tagged:
+            self.write_sidecar(tmp_path / "pan" / samples[i].id, samples[i].documents,
+                               ".pos.gz" if i % 2 else ".pos")
+        spec = CorpusSpec(format="PanTruthDir", path=str(tmp_path / "pan"), language="es")
+        prepared, _ = self.assert_same(spec)
+        assert [s.id for s in prepared.samples] == [s.id for s in samples]
+        assert prepared.pos_source == {0: "fallback", 5: "sidecar"}.get(
+            len(tagged), f"mixed({len(tagged)}/5 sidecars)")
+
+    def test_rules_file_reaches_sidecar_surfaces(self, tmp_path):
+        docs = [LabeledDocument(Document(f"r{i}", f"cosa {i}1 @x"),
+                                LabelSet(gender="Female" if i % 2 else "Male")) for i in range(4)]
+        save_flat_csv(docs, tmp_path / "c.csv")
+        self.write_sidecar(tmp_path / "c.csv", [d.document for d in docs], ".pos")
+        (tmp_path / "my.rules").write_text("digits\t\\d+\tNUM\n", encoding="utf-8")
+        spec = CorpusSpec(format="FlatCsv", path=str(tmp_path / "c.csv"), language="es")
+        prepared, _ = self.assert_same(spec, rules=load_rules(tmp_path / "my.rules"))
+        assert documents_by_id(prepared)["r1"].text == "cosa NUM @x"
 
 
 class TestRunExperiment:
@@ -338,6 +425,41 @@ language = es
         assert result.outcome.n_train == 40
         assert result.outcome.n_test == 10
         assert "test_corpus_sha256" in result.provenance
+
+    def test_cross_mode_reads_rules_file_once(self, tmp_path, monkeypatch):
+        text = MINIMAL.replace("task = gender", "task = gender\nrules = my.rules") + """
+[test_corpus]
+format = FlatCsv
+path = test.csv
+language = en
+"""
+        (tmp_path / "my.rules").write_text("digits\t\\d+\tNUM\n", encoding="utf-8")
+        write_marker_csv(tmp_path / "train.csv", n_docs=20)
+        write_marker_csv(tmp_path / "test.csv", n_docs=6, seed=2)
+        loaded, prepared = [], []
+        monkeypatch.setattr(experiment, "load_rules",
+                            lambda path: loaded.append(path) or load_rules(path))
+        monkeypatch.setattr(experiment, "prepare_corpus",
+                            lambda spec, rules, *rest: prepared.append(rules) or
+                            prepare_corpus(spec, rules, *rest))
+        run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
+        assert loaded == [str(tmp_path / "my.rules")]
+        assert len(prepared) == 2 and prepared[0] is prepared[1]
+
+    def test_cross_mode_default_rules_follow_each_language(self, tmp_path, monkeypatch):
+        text = MINIMAL + """
+[test_corpus]
+format = FlatCsv
+path = test.csv
+language = en
+"""
+        write_marker_csv(tmp_path / "train.csv", n_docs=20)
+        write_marker_csv(tmp_path / "test.csv", n_docs=6, seed=2)
+        languages = []
+        monkeypatch.setattr(experiment, "default_rules",
+                            lambda language: languages.append(language) or default_rules(language))
+        run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
+        assert languages == ["es", "en"]
 
     def test_cross_language_mismatch_warns(self, tmp_path):
         text = MINIMAL + """
@@ -403,6 +525,27 @@ language = es
 """
         with pytest.raises(DataError, match="lacks a traits label"):
             run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
+
+    def test_train_full_missing_age_band(self, tmp_path):
+        samples = truth_dir_samples(4)
+        samples[2].labels.age_band = None
+        save_pan_truth_dir(samples, str(tmp_path / "pan"))
+        text = "[experiment]\ntask = age\n\n[train_corpus]\nformat = PanTruthDir\npath = pan\nlanguage = es\n"
+        with pytest.raises(DataError, match="sample 'author02' lacks a age band label"):
+            train_full(parse_config_text(text, base_dir=str(tmp_path)))
+
+    @pytest.mark.parametrize("kind, labels, name", [
+        ("binary", LabelSet(age_band="18-24"), "gender"),
+        ("ovr", LabelSet(gender="Male"), "age band"),
+        ("traits", LabelSet(gender="Male", age_band="18-24"), "traits"),
+    ])
+    def test_truth_rows_missing_label(self, kind, labels, name):
+        samples = [Sample("s0", [Document("d", "x")], LabelSet(gender="Female", age_band="25-34",
+                                                               traits=dict.fromkeys("ENACO", 0.1))),
+                   Sample("s1", [Document("d", "x")], labels)]
+        assert truth_rows(kind, samples[:1])[0][0] == "s0"
+        with pytest.raises(DataError, match=f"sample 's1' lacks a {name} label"):
+            truth_rows(kind, samples)
 
     def test_train_full_skips_split(self, tmp_path):
         cfg = config_for(tmp_path, n_docs=30)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -173,7 +174,7 @@ class TestScalingPolicy:
         pk = FeatureKey(POS, ("N",))
         vocab = Vocabulary(keys=[ck, pk], min_df=1)
         X = vectorize([(Counter({"a": 3}), Counter({("N",): 3}))], vocab, ScalingPolicy(LINEAR, LOG2))
-        assert row_entries(X) == {vocab.column(ck): 3.0, vocab.column(pk): 2.0}
+        assert row_entries(X) == {vocab.char_index["a"]: 3.0, vocab.pos_index[("N",)]: 2.0}
 
 
 class TestVectorize:
@@ -220,15 +221,17 @@ class TestVectorize:
             bumped = Counter(counts)
             bumped[key] += 1
             after = row_entries(vectorize([(bumped, Counter())], vocab, policy))
-            col = vocab.column(FeatureKey(CHAR, tuple(key)))
+            col = vocab.char_index[key]
             assert after[col] >= base[col]
 
     def test_vocab_lookup_is_a_bijection(self):
         vocab = self.make_vocab()
-        cols = [vocab.column(k) for k in vocab.keys]
+        cols = list(vocab.char_index.values()) + list(vocab.pos_index.values())
         assert sorted(cols) == list(range(len(vocab)))
-        for key in vocab.keys:
-            assert vocab.keys[vocab.column(key)] == key
+        for gram, col in vocab.char_index.items():
+            assert vocab.keys.index(FeatureKey(CHAR, tuple(gram))) == col
+        for gram, col in vocab.pos_index.items():
+            assert vocab.keys.index(FeatureKey(POS, gram)) == col
 
 
 class TestSparseMatrix:
@@ -410,6 +413,23 @@ class TestVocabularySerialization:
         )
         with pytest.raises(DataError, match="escape"):
             Vocabulary.load(path)
+
+    @pytest.mark.parametrize("unit, gram", [
+        ("\\q", None), ("N\\", None), ("\\", None), ("\\\\U", "\\U"), ("\\t", "\t"),
+        ("a\\U\\n\\r\\\\b", "a␟\n\r\\b"),
+    ])
+    def test_escape_sequences(self, tmp_path, unit, gram):
+        """A known escape decodes; an unknown one or a trailing backslash
+        is rejected with the unit named."""
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"styloprof-vocab-v1\tchar=0\tpos=1\tmin_df=1\npos\t{unit}\t0\n",
+                        encoding="utf-8")
+        if gram is None:
+            with pytest.raises(DataError, match=re.escape(
+                    f"bad escape sequence in vocabulary unit: {unit!r}")):
+                Vocabulary.load(path)
+        else:
+            assert Vocabulary.load(path).keys == [FeatureKey(POS, (gram,))]
 
     @given(
         raw_keys=st.lists(

@@ -8,6 +8,9 @@ field or one space-separated word replaced).  Whatever the mutation,
 numbers, anything loaded saves and loads back unchanged, and a
 non-finite number in any bias or weight is rejected.
 
+A rendered result file is mutated line by line as well: `extract_config`
+either yields a config or raises a `DataError`.
+
 The text readers (rule file, lexicon, POS sidecar, `truth.txt`, FlatCsv
 and the prediction and truth files of `styloprof evaluate`) are mutated
 byte by byte instead, as plain files, as gzip
@@ -17,6 +20,7 @@ not UTF-8 and broken gzip streams must also end as a `StyloprofError`.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 
 import numpy as np
@@ -26,13 +30,15 @@ from hypothesis import strategies as st
 
 from styloprof.cli import _read_label_rows, _read_trait_rows
 from styloprof.corpus import TRAIT_NAMES, CorpusSpec, load_flat_csv, load_pan_truth_dir
-from styloprof.errors import DataError, StyloprofError
+from styloprof.errors import ConfigError, DataError, StyloprofError
+from styloprof.experiment import extract_config, parse_config_text, render_result, run_experiment
 from styloprof.features import (CHAR, POS, FeatureKey, ScalingPolicy, SparseMatrix,
                                 Vocabulary)
 from styloprof.learner import (ModelBundle, TrainConfig, load_model, save_model, train_binary,
                                train_ovr, train_traits)
 from styloprof.normalize import load_rules
 from styloprof.pos import ingest_tagged_file, load_lexicon
+from styloprof.synthetic import write_marker_csv
 
 TOKENS = ["nan", "NaN", "inf", "-inf", "1e999", "-1e999", "", "0", "-0.0", "1", "2.5", "-3",
           "i:3", "s:x", "i:x", "abc", "char", "pos", "bias", "weights", "dim", "=", "c_param=nan",
@@ -377,3 +383,46 @@ def test_malformed_label_row_rejected(tmp_path, line, message):
     with pytest.raises(DataError, match=message) as info:
         _read_label_rows(tmp_path / "pred.tsv")
     assert f"{tmp_path / 'pred.tsv'}:2:" in str(info.value)
+
+
+# lines that move the config block of a result file: section headers and
+# config lines, well formed or not
+RESULT_TOKENS = ["## config", "## timing", "## metrics", "|", "| ", "|x", "| [experiment]",
+                 "| task = age", "| [sweep]", "| k_values = 0", "#", " | x", "## config "]
+result_mutation = st.one_of(
+    mutation,
+    st.tuples(st.just("insert"), st.integers(0, 50), st.sampled_from(RESULT_TOKENS)),
+    st.tuples(st.just("field"), st.integers(0, 50), st.integers(0, 8), st.sampled_from(RESULT_TOKENS)),
+)
+
+
+@pytest.fixture(scope="module")
+def result_file(tmp_path_factory):
+    """A rendered result file of a small split experiment, as lines."""
+    folder = tmp_path_factory.mktemp("result")
+    write_marker_csv(folder / "train.csv", n_docs=20)
+    config = ("# a comment\n[experiment]\ntask = gender\nmin_df = 1\n\n"
+              "[train_corpus]\nformat = FlatCsv\npath = train.csv\nlanguage = es\n")
+    result = run_experiment(parse_config_text(config, base_dir=str(folder)))
+    return result, render_result(result).splitlines()
+
+
+@given(ops=st.lists(result_mutation, min_size=1, max_size=3))
+@FUZZ
+def test_mutated_result_file(result_file, ops):
+    """A mutated result file yields a config or raises `DataError`; a
+    yielded config embeds and extracts back unchanged, and parses or
+    raises `ConfigError`."""
+    result, lines = result_file
+    for op in ops:
+        lines = mutate(lines, op)
+    try:
+        config = extract_config("".join(line + "\n" for line in lines))
+    except DataError:
+        return
+    assert config.endswith("\n")
+    assert extract_config(render_result(dataclasses.replace(result, config_text=config))) == config
+    try:
+        parse_config_text(config)
+    except ConfigError:
+        pass
