@@ -3,7 +3,10 @@
 Subcommands: normalize, featurize, train, predict, evaluate, run.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 failure.  All inputs and outputs are UTF-8; paths ending in .gz are
-read and written gzip-compressed.
+read and written gzip-compressed.  Line-oriented inputs and outputs go
+through `corpus.read_lines` / `corpus.write_lines`, so a line ends at a
+line feed only: `normalize` writes one output line per input line and
+numbers its rewrites by input line.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import math
 import sys
 
-from .corpus import FORMATS, LANGUAGES, TRAIT_NAMES, CorpusSpec, open_text
+from .corpus import FORMATS, LANGUAGES, TRAIT_NAMES, CorpusSpec, read_lines, split_lines, write_lines
 from .errors import ConfigError, DataError, StyloprofError
 from .experiment import (as_samples, load_rules_and_lexicon, parse_config_file,
                          predict_samples, prepare_corpus, render_result,
@@ -21,12 +24,6 @@ from .features import Vocabulary, build_vocabulary
 from .learner import load_model, save_model
 from .metrics import confusion, render_report, render_trait_report, report, trait_rmse_report
 from .normalize import normalize
-
-
-def _write_lines(path, lines) -> None:
-    with open_text(path, "wt", newline="") as fh:
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def _corpus_spec(args) -> CorpusSpec:
@@ -49,19 +46,17 @@ def _prepared_samples(args):
 
 def _cmd_normalize(args) -> int:
     rules, _ = load_rules_and_lexicon(args.rules, None, args.language)
-    with open_text(args.input) as fh:
-        lines = fh.read().splitlines()
     out_lines, log_lines = [], []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(args.input), start=1):
         result = normalize(line, rules)
         out_lines.append(result.text)
         for rw in result.rewrites:
             log_lines.append(f"{lineno}\t{rw.rule}"
                              f"\t{rw.original_span[0]}\t{rw.original_span[1]}"
                              f"\t{rw.replacement_span[0]}\t{rw.replacement_span[1]}")
-    _write_lines(args.output, out_lines)
+    write_lines(args.output, out_lines)
     log_path = args.rewrites or (args.output + ".rewrites")
-    _write_lines(log_path, log_lines)
+    write_lines(log_path, log_lines)
     print(f"normalized {len(out_lines)} line(s) -> {args.output} "
           f"({len(log_lines)} rewrite(s) logged in {log_path})")
     return 0
@@ -103,60 +98,56 @@ def _cmd_predict(args) -> int:
     bundle = load_model(args.model, expected_vocab_hash=vocab.content_hash())
     samples = _prepared_samples(args)
     rows = predict_samples(bundle, vocab, samples)
-    _write_lines(args.output, [_format_row(r) for r in rows])
+    write_lines(args.output, [_format_row(r) for r in rows])
     if args.truth_out:
-        _write_lines(args.truth_out, [_format_row(r) for r in truth_rows(bundle.kind, samples)])
+        write_lines(args.truth_out, [_format_row(r) for r in truth_rows(bundle.kind, samples)])
     print(f"predicted {len(rows)} sample(s) -> {args.output}")
     return 0
 
 
 def _read_label_rows(path) -> list[tuple[str, str]]:
     rows = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-                raise DataError(f"{path}:{lineno}: expected `sample_id<TAB>label[<TAB>margin]`")
-            if len(parts) == 3:
-                try:
-                    margin = float(parts[2])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: unparsable margin {parts[2]!r}") from None
-                if not math.isfinite(margin):
-                    raise DataError(f"{path}:{lineno}: non-finite margin {parts[2]!r}")
-            rows.append((parts[0], parts[1]))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
+            raise DataError(f"{path}:{lineno}: expected `sample_id<TAB>label[<TAB>margin]`")
+        if len(parts) == 3:
+            try:
+                margin = float(parts[2])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: unparsable margin {parts[2]!r}") from None
+            if not math.isfinite(margin):
+                raise DataError(f"{path}:{lineno}: non-finite margin {parts[2]!r}")
+        rows.append((parts[0], parts[1]))
     return rows
 
 
 def _read_trait_rows(path) -> list[tuple[str, dict[str, float]]]:
     rows = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 1 + len(TRAIT_NAMES):
-                raise DataError(f"{path}:{lineno}: expected a sample id and {len(TRAIT_NAMES)} trait=value fields")
-            values = {}
-            for token in parts[1:]:
-                if "=" not in token:
-                    raise DataError(f"{path}:{lineno}: malformed trait field {token!r}")
-                name, raw_value = token.split("=", 1)
-                if name not in TRAIT_NAMES:
-                    raise DataError(f"{path}:{lineno}: unknown trait {name!r}")
-                try:
-                    values[name] = float(raw_value)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: unparsable trait value {raw_value!r}") from None
-                if not math.isfinite(values[name]):
-                    raise DataError(f"{path}:{lineno}: non-finite trait value {raw_value!r}")
-            if len(values) != len(TRAIT_NAMES):
-                raise DataError(f"{path}:{lineno}: duplicate or missing trait fields")
-            rows.append((parts[0], values))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 1 + len(TRAIT_NAMES):
+            raise DataError(f"{path}:{lineno}: expected a sample id and {len(TRAIT_NAMES)} trait=value fields")
+        values = {}
+        for token in parts[1:]:
+            if "=" not in token:
+                raise DataError(f"{path}:{lineno}: malformed trait field {token!r}")
+            name, raw_value = token.split("=", 1)
+            if name not in TRAIT_NAMES:
+                raise DataError(f"{path}:{lineno}: unknown trait {name!r}")
+            try:
+                values[name] = float(raw_value)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: unparsable trait value {raw_value!r}") from None
+            if not math.isfinite(values[name]):
+                raise DataError(f"{path}:{lineno}: non-finite trait value {raw_value!r}")
+        if len(values) != len(TRAIT_NAMES):
+            raise DataError(f"{path}:{lineno}: duplicate or missing trait fields")
+        rows.append((parts[0], values))
     return rows
 
 
@@ -201,22 +192,18 @@ def _cmd_evaluate(args) -> int:
         out = [render_report(rep), f"accuracy_exact\t{rep.accuracy!r}"]
         for warning in rep.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-    text = "\n".join(out) + "\n"
     if args.output:
-        with open_text(args.output, "wt", newline="") as fh:
-            fh.write(text)
+        write_lines(args.output, out)
         print(f"evaluated {len(joined)} sample(s) -> {args.output}")
     else:
-        sys.stdout.write(text)
+        print("\n".join(out))
     return 0
 
 
 def _cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
     result = run_experiment(cfg)
-    text = render_result(result)
-    with open_text(args.output, "wt", newline="") as fh:
-        fh.write(text)
+    write_lines(args.output, split_lines(render_result(result)))
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if result.outcome is not None and result.outcome.class_report is not None:

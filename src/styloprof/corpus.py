@@ -1,4 +1,4 @@
-"""Corpus loading, document grouping and reproducible splits.
+r"""Corpus loading, document grouping and reproducible splits.
 
 Two on-disk layouts are supported, both optionally gzip-compressed
 (selected by a ``.gz`` extension):
@@ -8,6 +8,13 @@ Two on-disk layouts are supported, both optionally gzip-compressed
   file per author holding one document per line;
 * a flat delimited file with header ``id,gender,text`` and RFC-4180
   quoting.
+
+A truth directory's files, like every other line-oriented file of the
+package (rules, lexicon, POS sidecars, vocabulary, model, predictions,
+results), are read by `read_lines` and written by `write_lines`; only a
+flat file goes through the csv module.  A line ends at ``"\n"`` only
+(``"\r\n"`` and ``"\r"`` read as ``"\n"``): any other separator, such as
+``\v``, ``\f``, ``\x85`` or U+2028, stays inside its line.
 
 Documents can be pooled into fixed-size per-class samples and split
 into train/test partitions stratified by a chosen label, both fully
@@ -56,6 +63,29 @@ def open_text(path, mode: str = "rt", newline=None):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise DataError(f"{path}: corrupt gzip stream: {exc}") from None
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of `text`, split on "\n" only.  A final newline ends the
+    last line and does not start another."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a text file opened by `open_text`, whose universal
+    newlines turn "\r\n" and "\r" into "\n" first."""
+    with open_text(path) as fh:
+        return split_lines(fh.read())
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each line followed by "\n", translating no newline."""
+    with open_text(path, "wt", newline="") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +153,8 @@ class CorpusSpec:
     delimiter: str = ","
 
     def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise ConfigError("delimiter must be a single character")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown corpus format {self.format!r}; expected one of {FORMATS}")
         if self.language not in LANGUAGES:
@@ -212,45 +244,43 @@ def load_pan_truth_dir(spec: CorpusSpec) -> list[Sample]:
     truth = truth_path(spec.path)
     samples = []
     listed: dict[str, int] = {}
-    with open_text(truth) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            author_id, labels = _parse_truth_line(line, f"{truth}:{lineno}")
-            if author_id in listed:
-                raise DataError(f"{truth}:{lineno}: author {author_id!r} already listed "
-                                f"on line {listed[author_id]}")
-            listed[author_id] = lineno
-            doc_path = author_path(spec.path, author_id)
-            with open_text(doc_path) as doc_fh:
-                texts = doc_fh.read().splitlines()
-            if not texts:
-                raise DataError(f"{doc_path}: author file is empty")
-            documents = [Document(id=f"{author_id}:{i}", text=text) for i, text in enumerate(texts)]
-            samples.append(Sample(id=author_id, documents=documents, labels=labels))
+    for lineno, raw in enumerate(read_lines(truth), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        author_id, labels = _parse_truth_line(line, f"{truth}:{lineno}")
+        if author_id in listed:
+            raise DataError(f"{truth}:{lineno}: author {author_id!r} already listed "
+                            f"on line {listed[author_id]}")
+        listed[author_id] = lineno
+        doc_path = author_path(spec.path, author_id)
+        texts = read_lines(doc_path)
+        if not texts:
+            raise DataError(f"{doc_path}: author file is empty")
+        documents = [Document(id=f"{author_id}:{i}", text=text) for i, text in enumerate(texts)]
+        samples.append(Sample(id=author_id, documents=documents, labels=labels))
     return samples
 
 
 def save_pan_truth_dir(samples: list[Sample], dirpath: str) -> None:
     os.makedirs(dirpath, exist_ok=True)
-    with open_text(os.path.join(dirpath, "truth.txt"), "wt", newline="") as truth_fh:
-        for sample in samples:
-            labels = sample.labels
-            if labels.gender is None:
-                raise DataError(f"sample {sample.id!r}: this layout cannot omit gender")
-            fields = [sample.id, labels.gender[0], labels.age_band or "XX"]
-            if labels.traits is not None:
-                missing = [t for t in TRAIT_NAMES if t not in labels.traits]
-                if missing:
-                    raise DataError(f"sample {sample.id!r}: traits incomplete, missing {missing}")
-                fields.extend(repr(labels.traits[t]) for t in TRAIT_NAMES)
-            truth_fh.write(TRUTH_SEP.join(fields) + "\n")
-            with open_text(os.path.join(dirpath, sample.id + ".txt"), "wt", newline="") as doc_fh:
-                for doc in sample.documents:
-                    if "\n" in doc.text or "\r" in doc.text:
-                        raise DataError(f"document {doc.id!r}: line-oriented layout cannot hold newlines")
-                    doc_fh.write(doc.text + "\n")
+    truth_lines = []
+    for sample in samples:
+        labels = sample.labels
+        if labels.gender is None:
+            raise DataError(f"sample {sample.id!r}: this layout cannot omit gender")
+        fields = [sample.id, labels.gender[0], labels.age_band or "XX"]
+        if labels.traits is not None:
+            missing = [t for t in TRAIT_NAMES if t not in labels.traits]
+            if missing:
+                raise DataError(f"sample {sample.id!r}: traits incomplete, missing {missing}")
+            fields.extend(repr(labels.traits[t]) for t in TRAIT_NAMES)
+        truth_lines.append(TRUTH_SEP.join(fields))
+        for doc in sample.documents:
+            if "\n" in doc.text or "\r" in doc.text:
+                raise DataError(f"document {doc.id!r}: line-oriented layout cannot hold newlines")
+        write_lines(os.path.join(dirpath, sample.id + ".txt"), [doc.text for doc in sample.documents])
+    write_lines(os.path.join(dirpath, "truth.txt"), truth_lines)
 
 
 def load_flat_csv(spec: CorpusSpec) -> list[LabeledDocument]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .corpus import (CorpusSpec, Document, LabeledDocument, Sample, author_path,
                      group_into_samples, load_flat_csv, load_pan_truth_dir,
-                     open_text, stratified_split, truth_path, TRAIT_NAMES)
+                     open_text, split_lines, stratified_split, truth_path, TRAIT_NAMES)
 from .errors import ConfigError, DataError
 from .features import (CHAR, LINEAR, LOG2, POS, FeatureKey, ScalingPolicy, Vocabulary,
                        build_vocabulary, char_ngrams, default_policy, pos_ngrams, vectorize)
@@ -146,9 +146,6 @@ def _corpus_section(section: _Section, base_dir: str) -> CorpusSpec | None:
         return None
     if not path:
         section.errors.append(f"[{section.name}] path must not be empty")
-        return None
-    if delimiter is not None and len(delimiter) != 1:
-        section.errors.append(f"[{section.name}] delimiter must be a single character")
         return None
     try:
         return CorpusSpec(format=fmt, path=os.path.join(base_dir, path),
@@ -283,10 +280,11 @@ def _process_document(doc: Document, rules, lexicon, stream=None) -> Document:
 
 
 def _corpus_fingerprint(paths) -> str:
-    """SHA-256 over the files a corpus was loaded from, in basename order,
-    each as its basename, a NUL byte and its bytes."""
+    """SHA-256 over the files a corpus was loaded from, in basename order
+    (then path order, for files that share a basename), each as its
+    basename, a NUL byte and its bytes."""
     h = hashlib.sha256()
-    for path in sorted(set(paths), key=os.path.basename):
+    for path in sorted(set(paths), key=lambda path: (os.path.basename(path), path)):
         h.update(os.path.basename(path).encode("utf-8"))
         h.update(b"\x00")
         with open(path, "rb") as fh:
@@ -681,7 +679,7 @@ def render_result(result: ExperimentResult) -> str:
             lines.append(f"k\t{row['k']}\tvocab_sha256\t{row['vocab_sha256']}")
 
     lines.append("## config")
-    for raw_line in _split_lines(result.config_text):
+    for raw_line in split_lines(result.config_text):
         lines.append(f"| {raw_line}")
     lines.append("## timing")
     for stage, seconds in result.timings:
@@ -689,21 +687,11 @@ def render_result(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_lines(text: str) -> list[str]:
-    """The lines of `text`, split on "\n" only: a config comment may hold
-    any other line or paragraph separator.  A final newline ends the last
-    line and does not start another."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def extract_config(result_text: str) -> str:
     """Inverse of the `## config` embedding in a result file."""
     lines = []
     inside = False
-    for line in _split_lines(result_text):
+    for line in split_lines(result_text):
         if line == "## config":
             inside = True
             continue

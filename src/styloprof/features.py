@@ -34,6 +34,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .corpus import read_lines, write_lines
 from .errors import ConfigError, DataError
 
 CHAR = "char"
@@ -207,44 +208,38 @@ class Vocabulary:
         return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
-        from .corpus import open_text
-
         n_char = sum(1 for k in self.keys if k.channel == CHAR)
         n_pos = len(self.keys) - n_char
-        with open_text(path, "wt") as fh:
-            fh.write(f"styloprof-vocab-v1\tchar={n_char}\tpos={n_pos}\tmin_df={self.min_df}\n")
-            for col, key in enumerate(self.keys):
-                fh.write(f"{_key_line(key)}\t{col}\n")
+        header = f"styloprof-vocab-v1\tchar={n_char}\tpos={n_pos}\tmin_df={self.min_df}"
+        write_lines(path, [header] + [f"{_key_line(key)}\t{col}" for col, key in enumerate(self.keys)])
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        from .corpus import open_text
-
-        with open_text(path) as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if not header or header[0] != "styloprof-vocab-v1":
-                raise DataError(f"{path}: not a styloprof-vocab-v1 file")
+        lines = read_lines(path)
+        header = (lines[0] if lines else "").split("\t")
+        if header[0] != "styloprof-vocab-v1":
+            raise DataError(f"{path}: not a styloprof-vocab-v1 file")
+        try:
+            fields = dict(p.split("=", 1) for p in header[1:])
+            declared = {channel: int(fields[channel]) for channel in (CHAR, POS)}
+            min_df = int(fields["min_df"])
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{path}: bad vocabulary header") from exc
+        keys = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            channel, joined, col = parts
+            if channel not in (CHAR, POS):
+                raise DataError(f"{path}:{lineno}: unknown channel {channel!r}")
             try:
-                fields = dict(p.split("=", 1) for p in header[1:])
-                declared = {channel: int(fields[channel]) for channel in (CHAR, POS)}
-                min_df = int(fields["min_df"])
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}: bad vocabulary header") from exc
-            keys = []
-            for lineno, raw in enumerate(fh, start=2):
-                parts = raw.rstrip("\n").split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                channel, joined, col = parts
-                if channel not in (CHAR, POS):
-                    raise DataError(f"{path}:{lineno}: unknown channel {channel!r}")
-                try:
-                    in_order = int(col) == len(keys)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: column {col!r} is not an integer") from None
-                if not in_order:
-                    raise DataError(f"{path}:{lineno}: columns out of order")
-                keys.append(FeatureKey(channel, _split_units(joined)))
+                in_order = int(col) == len(keys)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: column {col!r} is not an integer") from None
+            if not in_order:
+                raise DataError(f"{path}:{lineno}: columns out of order")
+            keys.append(FeatureKey(channel, _split_units(joined)))
         try:
             vocab = cls(keys=keys, min_df=min_df)
         except DataError as exc:

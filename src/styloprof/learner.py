@@ -52,7 +52,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TRAIT_NAMES, TRAIT_MAX, TRAIT_MIN
+from .corpus import TRAIT_NAMES, TRAIT_MAX, TRAIT_MIN, read_lines, write_lines
 from .errors import DataError
 from .features import LINEAR, LOG2, ScalingPolicy, SparseMatrix
 
@@ -472,8 +472,6 @@ def _parse_finite(token: str, what: str) -> float:
 
 
 def save_model(bundle: ModelBundle, path) -> None:
-    from .corpus import open_text
-
     if bundle.kind not in ("binary", "ovr", "traits"):
         raise DataError(f"unknown model kind {bundle.kind!r}")
     cfg = bundle.config
@@ -504,8 +502,7 @@ def save_model(bundle: ModelBundle, path) -> None:
         for name in TRAIT_NAMES:
             lines.append(f"bias\t{model.biases[name]!r}")
             lines.append(f"weights\t{_format_weights(model.weights[name])}")
-    with open_text(path, "wt", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 class _LineReader:
@@ -528,10 +525,7 @@ class _LineReader:
 
 
 def load_model(path, expected_vocab_hash: str | None = None) -> ModelBundle:
-    from .corpus import open_text
-
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty model file")
     head = lines[0].split("\t")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .corpus import read_lines
 from .errors import ConfigError
 
 SUPPORTED_LANGUAGES = ("es", "en", "it", "nl")
@@ -112,15 +113,16 @@ def _compose(rewrites: list[Rewrite], pass_matches, rule_name: str) -> list[Rewr
     everything the match ultimately came from.
     """
     # Map a current-text position to an original-text position.  `right`
-    # selects which side to snap to when the position falls inside an
-    # earlier replacement.
+    # selects which side to snap to when the position falls strictly
+    # inside an earlier replacement; its two ends map to the ends of
+    # what it replaced.
     def to_original(pos: int, right: bool) -> int:
         shift = 0
         for rw in rewrites:
             a, b = rw.replacement_span
             if pos <= a:
                 break
-            if pos < b or (pos == b and not right):
+            if pos < b:
                 return rw.original_span[1] if right else rw.original_span[0]
             shift = rw.original_span[1] - b
         return pos + shift
@@ -180,23 +182,19 @@ def load_rules(path) -> list[NormalizationRule]:
     Each replacement must be a fixed point of the whole rule set, otherwise
     normalization would not be idempotent and the file is rejected.
     """
-    from .corpus import open_text
-
     rules: list[NormalizationRule] = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            name, pattern, replacement = parts
-            try:
-                re.compile(pattern)
-            except re.error as exc:
-                raise ConfigError(f"{path}:{lineno}: bad pattern: {exc}") from exc
-            rules.append(NormalizationRule(name, pattern, replacement))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        name, pattern, replacement = parts
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise ConfigError(f"{path}:{lineno}: bad pattern: {exc}") from exc
+        rules.append(NormalizationRule(name, pattern, replacement))
     if not rules:
         raise ConfigError(f"{path}: no rules defined")
     for rule in rules:

@@ -22,6 +22,7 @@ import re
 import unicodedata
 from typing import NamedTuple
 
+from .corpus import read_lines
 from .errors import DataError
 
 REF_USERNAME = "REF@USERNAME"
@@ -76,25 +77,21 @@ def relabel(tokens: list[TaggedToken]) -> list[str]:
 def ingest_tagged_file(path) -> list[list[TaggedToken]]:
     """Read externally produced tags: ``surface<TAB>fine_tag`` per line,
     blank line between documents.  Returns one token list per document."""
-    from .corpus import open_text  # gzip-aware
-
     docs: list[list[TaggedToken]] = []
     current: list[TaggedToken] = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if current:
-                    docs.append(current)
-                    current = []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected `surface<TAB>tag`, got {len(parts)} field(s)")
-            surface, tag = parts
-            if not surface or not tag:
-                raise DataError(f"{path}:{lineno}: empty surface or tag")
-            current.append(TaggedToken(surface, tag))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            if current:
+                docs.append(current)
+                current = []
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected `surface<TAB>tag`, got {len(parts)} field(s)")
+        surface, tag = parts
+        if not surface or not tag:
+            raise DataError(f"{path}:{lineno}: empty surface or tag")
+        current.append(TaggedToken(surface, tag))
     if current:
         docs.append(current)
     return docs
@@ -127,18 +124,14 @@ def fallback_tag(tokens: list[str], lexicon: dict[str, str]) -> list[TaggedToken
 
 def load_lexicon(path) -> dict[str, str]:
     """Lexicon file: ``word<TAB>letter`` per line, ``#`` comments allowed."""
-    from .corpus import open_text
-
     lexicon: dict[str, str] = {}
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(f"{path}:{lineno}: expected `word<TAB>letter`")
-            lexicon[parts[0].lower()] = parts[1].upper()
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(f"{path}:{lineno}: expected `word<TAB>letter`")
+        lexicon[parts[0].lower()] = parts[1].upper()
     return lexicon
 
 

@@ -497,7 +497,7 @@ def _reference_sidecar(base: str):
 
 def _reference_fingerprint(paths) -> str:
     h = hashlib.sha256()
-    for path in sorted(set(paths), key=os.path.basename):
+    for path in sorted(set(paths), key=lambda path: (os.path.basename(path), path)):
         h.update(os.path.basename(path).encode("utf-8"))
         h.update(b"\x00")
         with open(path, "rb") as fh:

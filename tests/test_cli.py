@@ -57,6 +57,22 @@ class TestNormalizeCommand:
         ]
         assert "normalized 2 line(s)" in capsys.readouterr().out
 
+    def test_one_output_line_per_input_line(self, tmp_path, capsys):
+        # every separator but "\n" stays inside its line
+        lines = [f"@a{sep}@b" for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"] + ["@c"]
+        (tmp_path / "in.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code = main(["normalize", str(tmp_path / "in.txt"), str(tmp_path / "out.txt")])
+        assert code == 0
+        results = [normalize(line, default_rules("es")) for line in lines]
+        out = (tmp_path / "out.txt").read_bytes().decode("utf-8")
+        assert out == "".join(result.text + "\n" for result in results)
+        log = (tmp_path / "out.txt.rewrites").read_bytes().decode("utf-8")
+        assert log == "".join(f"{lineno}\t{rw.rule}\t{rw.original_span[0]}\t{rw.original_span[1]}"
+                              f"\t{rw.replacement_span[0]}\t{rw.replacement_span[1]}\n"
+                              for lineno, result in enumerate(results, start=1)
+                              for rw in result.rewrites)
+        assert f"normalized {len(lines)} line(s)" in capsys.readouterr().out
+
     def test_explicit_rewrites_path_and_gzip(self, tmp_path):
         (tmp_path / "in.txt").write_text("hola @amigo\n", encoding="utf-8")
         code = main(["normalize", str(tmp_path / "in.txt"),
@@ -108,6 +124,15 @@ class TestNormalizeCommand:
 
 
 class TestFeaturizeCommand:
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(self, tmp_path, capsys, delimiter):
+        write_marker_csv(tmp_path / "c.csv", n_docs=4)
+        code = main(["featurize", "--corpus-format", "FlatCsv", "--corpus-path", str(tmp_path / "c.csv"),
+                     "--language", "es", "--delimiter", delimiter, "--vocab-out", str(tmp_path / "v")])
+        assert code == 2
+        assert "config error: delimiter must be a single character" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
     def test_builds_loadable_vocabulary(self, tmp_path, capsys):
         write_marker_csv(tmp_path / "c.csv", n_docs=30)
         code = main(["featurize", "--corpus-format", "FlatCsv",

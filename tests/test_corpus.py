@@ -23,10 +23,13 @@ from styloprof.corpus import (
     open_text,
     parse_age_band,
     parse_gender,
+    read_lines,
     render_age_band,
     save_flat_csv,
     save_pan_truth_dir,
+    split_lines,
     stratified_split,
+    write_lines,
 )
 from styloprof.errors import ConfigError, DataError
 
@@ -36,6 +39,8 @@ trait_values = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
 doc_texts = st.text(alphabet="abc ñ@#:,.!", max_size=40)
 line_texts = doc_texts.filter(lambda t: "\n" not in t and "\r" not in t)
 author_ids = st.from_regex(r"[a-z][a-z0-9]{1,8}", fullmatch=True)
+# every character but "\n" and "\r" that `str.splitlines` breaks a line on
+OTHER_SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @st.composite
@@ -116,6 +121,9 @@ class TestDomainTypes:
             CorpusSpec(format="FlatCsv", path="x", language="zz")
         with pytest.raises(ConfigError):
             CorpusSpec(format="FlatCsv", path="x", language="es", grouping_k=0)
+        for delimiter in (";;", ""):
+            with pytest.raises(ConfigError, match="delimiter must be a single character"):
+                CorpusSpec(format="FlatCsv", path="x", language="es", delimiter=delimiter)
 
 
 class TestPanTruthDir:
@@ -151,6 +159,13 @@ class TestPanTruthDir:
         save_pan_truth_dir(samples, str(root))
         loaded = load_pan_truth_dir(self.spec(root))
         assert loaded == samples
+
+    @pytest.mark.parametrize("sep", OTHER_SEPARATORS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_round_trip_keeps_other_line_separators(self, tmp_path, sep):
+        docs = [Document("a:0", f"uno{sep}dos"), Document("a:1", f"{sep}tres{sep}")]
+        samples = [Sample(id="a", documents=docs, labels=LabelSet(gender="Female"))]
+        save_pan_truth_dir(samples, str(tmp_path))
+        assert load_pan_truth_dir(self.spec(tmp_path)) == samples
 
     def test_gzip_members(self, tmp_path):
         with gzip.open(tmp_path / "truth.txt.gz", "wt", encoding="utf-8") as fh:
@@ -473,3 +488,24 @@ class TestOpenText:
             fh.write("adios\n")
         with gzip.open(gz, "rt", encoding="utf-8") as fh:
             assert fh.read() == "adios\n"
+
+
+class TestLines:
+    def test_split_on_newline_only(self):
+        assert split_lines("") == []
+        assert split_lines("a") == ["a"]
+        assert split_lines("a\n") == ["a"]
+        assert split_lines("a\n\nb\n\n") == ["a", "", "b", ""]
+        assert split_lines(f"a{OTHER_SEPARATORS}b\nc") == [f"a{OTHER_SEPARATORS}b", "c"]
+
+    @pytest.mark.parametrize("name", ["a.txt", "a.txt.gz"])
+    def test_write_then_read(self, tmp_path, name):
+        lines = ["uno", "", f"dos{OTHER_SEPARATORS}tres"]
+        write_lines(tmp_path / name, lines)
+        assert read_lines(tmp_path / name) == lines
+        with open_text(tmp_path / name, newline="") as fh:
+            assert fh.read() == "uno\n\n" + f"dos{OTHER_SEPARATORS}tres\n"
+
+    def test_carriage_returns_read_as_newlines(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes(b"uno\r\ndos\rtres\n")
+        assert read_lines(tmp_path / "a.txt") == ["uno", "dos", "tres"]

@@ -2,6 +2,10 @@
 
 import gzip
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +38,7 @@ from styloprof.experiment import (
 )
 from styloprof.features import ScalingPolicy
 from styloprof.learner import TrainConfig
-from styloprof.normalize import default_rules, load_rules
+from styloprof.normalize import default_rules, load_rules, normalize
 from styloprof.synthetic import write_marker_csv, write_sweep_csv
 
 from oracles import reference_as_samples, reference_prepare_corpus
@@ -211,6 +215,12 @@ k_values = 1, 2
         with pytest.raises(ConfigError, match="needs PanTruthDir"):
             parse_config_text(MINIMAL.replace("task = gender", f"task = {task}"))
 
+    @pytest.mark.parametrize("value", [";;", ""])
+    def test_delimiter_must_be_one_character(self, value):
+        text = MINIMAL.replace("language = es", f"language = es\ndelimiter = {value}")
+        with pytest.raises(ConfigError, match=r"\[train_corpus\] delimiter must be a single character"):
+            parse_config_text(text)
+
     def test_ini_syntax_error(self):
         with pytest.raises(ConfigError, match="config syntax"):
             parse_config_text("not an ini file at all")
@@ -295,6 +305,19 @@ class TestPrepareCorpus:
         spec = CorpusSpec(format="PanTruthDir", path=str(corpus), language="es")
         with pytest.raises(DataError, match="1 tagged documents but author 'author01' has 3"):
             prepare_corpus(spec, default_rules("es"), {}, [])
+
+    def test_truth_dir_documents_keep_other_line_separators(self, tmp_path):
+        corpus = tmp_path / "pan"
+        texts = [f"hola{sep}@amigo" for sep in LINE_BREAKERS[1:]]
+        save_pan_truth_dir([Sample("a", [Document(f"a:{i}", t) for i, t in enumerate(texts)],
+                                   LabelSet(gender="Male"))], str(corpus))
+        (corpus / "a.pos").write_text("\n\n".join("hola\tNN\n@amigo\tNN" for _ in texts) + "\n",
+                                      encoding="utf-8")
+        spec = CorpusSpec(format="PanTruthDir", path=str(corpus), language="es")
+        prepared = prepare_corpus(spec, default_rules("es"), {}, [])
+        assert prepared.pos_source == "sidecar"
+        assert [d.text for d in prepared.samples[0].documents] == \
+            [normalize(t, default_rules("es")).text for t in texts]
 
     def test_text_normalized_in_documents(self, tmp_path):
         docs = [LabeledDocument(Document("d0", "ver http://x.co ya"),
@@ -702,3 +725,26 @@ class TestResultFiles:
         with open(corpus / "author01.txt", "a", encoding="utf-8") as fh:
             fh.write("otra cosa\n")
         assert fingerprint() != before
+
+    def test_fingerprint_independent_of_hash_seed(self, tmp_path):
+        # author ids may hold a path separator, so two loaded files can
+        # share a basename
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "truth.txt").write_text("x:::M:::XX\nsub/x:::F:::XX\n", encoding="utf-8")
+        (tmp_path / "x.txt").write_text("hola\n", encoding="utf-8")
+        (tmp_path / "sub" / "x.txt").write_text("adios\n", encoding="utf-8")
+        script = ("import sys\n"
+                  "from styloprof.corpus import CorpusSpec\n"
+                  "from styloprof.experiment import prepare_corpus\n"
+                  "from styloprof.normalize import default_rules\n"
+                  "spec = CorpusSpec('PanTruthDir', sys.argv[1], 'es')\n"
+                  "print(prepare_corpus(spec, default_rules('es'), {}, []).fingerprint)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                                  capture_output=True, text=True, timeout=60, check=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1

@@ -421,6 +421,19 @@ class TestModelFiles:
         save_model(bundle, path)
         assert load_model(path).kind == "binary"
 
+    @pytest.mark.parametrize("label", ["Fe\x85male", "Fe\u2028male"], ids=["U+0085", "U+2028"])
+    def test_label_with_other_line_separator(self, tmp_path, label):
+        X = dense([0, 1], [0, 2], [3, 0], [4, 0])
+        model = train_binary(X, [1, 1, -1, -1], TrainConfig(), label_positive=label,
+                             label_negative="Male")
+        bundle = ModelBundle(kind="binary", vocab_hash="h" * 64, policy=ScalingPolicy("linear", "log2"),
+                             config=TrainConfig(), model=model)
+        path = tmp_path / "m.model"
+        save_model(bundle, path)
+        loaded = load_model(path)
+        assert loaded.model.label_positive == label
+        assert predict(loaded.model, X) == predict(model, X)
+
     def test_vocab_hash_guard(self, tmp_path):
         bundle = fit_binary_bundle(vocab_hash="a" * 64)
         path = tmp_path / "m.model"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from styloprof.errors import ConfigError
 from styloprof.normalize import (
+    MENTION_PATTERN,
     NormalizationRule,
     default_rules,
     hashtag_rule,
@@ -141,6 +142,52 @@ class TestNormalizeProperties:
         )
         assert produced == url_count
         assert result.text.count("htt") == url_count
+
+
+TWO_RULES = "r1\ta\tX\nr2\tb\tY\n"
+RULE_SETS = ["default", "default+hashtags", "mentions+hashtags", "two-rule file"]
+# pieces that make the rules' matches meet, nest and abut
+splice_texts = st.lists(st.sampled_from(["http://", "@", "#", "a", "b", "u", "t", "X", ":", "/", " "]),
+                        max_size=16).map("".join)
+
+
+@pytest.fixture(scope="module")
+def rule_sets(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rules") / "two.tsv"
+    path.write_text(TWO_RULES, encoding="utf-8")
+    return {"default": default_rules("es"),
+            "default+hashtags": default_rules("es") + [hashtag_rule()],
+            "mentions+hashtags": [NormalizationRule("mentions", MENTION_PATTERN, "@us"), hashtag_rule()],
+            "two-rule file": load_rules(path)}
+
+
+def splice(text: str, result) -> str:
+    """`text` with each logged original span replaced by its replacement,
+    in original order; asserts that no two original spans overlap."""
+    pieces, cursor = [], 0
+    for rw in sorted(result.rewrites, key=lambda rw: rw.original_span):
+        a, b = rw.original_span
+        assert cursor <= a, f"original spans overlap at {a}: {result.rewrites}"
+        pieces += [text[cursor:a], result.text[rw.replacement_span[0]:rw.replacement_span[1]]]
+        cursor = b
+    return "".join(pieces) + text[cursor:]
+
+
+class TestRewriteSpans:
+    def test_match_after_a_replacement_starts_where_it_ended(self, rule_sets):
+        result = normalize(":#@u#t", rule_sets["default+hashtags"])
+        assert [(rw.rule, rw.original_span) for rw in result.rewrites] == \
+            [("mentions", (2, 4)), ("hashtags", (4, 6))]
+        result = normalize("ab", rule_sets["two-rule file"])
+        assert [(rw.rule, rw.original_span) for rw in result.rewrites] == \
+            [("r1", (0, 1)), ("r2", (1, 2))]
+
+    @pytest.mark.parametrize("name", RULE_SETS)
+    @given(text=splice_texts)
+    @settings(max_examples=300)
+    def test_splicing_the_log_rebuilds_the_output(self, rule_sets, name, text):
+        result = normalize(text, rule_sets[name])
+        assert splice(text, result) == result.text
 
 
 class TestRuleFiles:
