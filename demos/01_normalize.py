@@ -24,6 +24,14 @@ for rw in result.rewrites:
     print(f"  rule={rw.rule:<9} consumed {a:>2}:{b:<2} ({tweet[a:b]!r}) "
           f"emitted {c}:{d} ({result.text[c:d]!r})")
 
+# the spans never overlap, so splicing each emitted span into the input
+# in place of what it consumed rebuilds the normalized text
+pieces, cursor = [], 0
+for rw in result.rewrites:
+    pieces += [tweet[cursor:rw.original_span[0]], result.text[slice(*rw.replacement_span)]]
+    cursor = rw.original_span[1]
+print("splicing the log rebuilds the output:", "".join(pieces) + tweet[cursor:] == result.text)
+
 # normalizing twice changes nothing: each marker rewrites to itself, so
 # a second pass may log a rewrite but never moves a byte
 again = normalize(result.text, rules)

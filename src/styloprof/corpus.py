@@ -161,6 +161,8 @@ class CorpusSpec:
             raise ConfigError(f"unsupported language {self.language!r}; expected one of {LANGUAGES}")
         if self.grouping_k is not None and self.grouping_k < 1:
             raise ConfigError(f"grouping_k must be a positive integer, got {self.grouping_k}")
+        if self.grouping_k is not None and self.format != "FlatCsv":
+            raise ConfigError("grouping_k applies only to FlatCsv corpora")
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +265,14 @@ def load_pan_truth_dir(spec: CorpusSpec) -> list[Sample]:
 
 
 def save_pan_truth_dir(samples: list[Sample], dirpath: str) -> None:
-    os.makedirs(dirpath, exist_ok=True)
+    """Write `samples` as a truth dir that `load_pan_truth_dir` reads back
+    as they are; every sample is checked before any file is written."""
     truth_lines = []
     for sample in samples:
+        if (not sample.id or sample.id != sample.id.strip()
+                or any(bad in sample.id for bad in (TRUTH_SEP, "\n", "\r"))):
+            raise DataError(f"sample id {sample.id!r}: a truth dir cannot hold an empty id, "
+                            f"{TRUTH_SEP!r}, a line break or surrounding whitespace")
         labels = sample.labels
         if labels.gender is None:
             raise DataError(f"sample {sample.id!r}: this layout cannot omit gender")
@@ -279,6 +286,8 @@ def save_pan_truth_dir(samples: list[Sample], dirpath: str) -> None:
         for doc in sample.documents:
             if "\n" in doc.text or "\r" in doc.text:
                 raise DataError(f"document {doc.id!r}: line-oriented layout cannot hold newlines")
+    os.makedirs(dirpath, exist_ok=True)
+    for sample in samples:
         write_lines(os.path.join(dirpath, sample.id + ".txt"), [doc.text for doc in sample.documents])
     write_lines(os.path.join(dirpath, "truth.txt"), truth_lines)
 

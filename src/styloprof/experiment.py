@@ -223,8 +223,6 @@ def parse_config_text(raw_text: str, base_dir: str = ".") -> ExperimentConfig:
     for label, spec in (("train_corpus", train_corpus), ("test_corpus", test_corpus)):
         if spec is None:
             continue
-        if spec.grouping_k is not None and spec.format != "FlatCsv":
-            errors.append(f"[{label}] grouping_k applies only to FlatCsv corpora")
         if task in ("age", "traits") and spec.format == "FlatCsv":
             errors.append(f"[{label}] the {task} task needs PanTruthDir corpora (flat files carry gender only)")
 

@@ -16,6 +16,13 @@ URLs are rewritten first so an ``@`` inside a URL is never misread as a
 mention.  Each rule is applied in one left-to-right scan; overlapping
 candidate matches resolve leftmost-longest (the regex engine's behaviour
 for these patterns).
+
+Every substitution is logged as a ``Rewrite``: the span it consumed in the
+original input and the span it fills in the output, in order of both.  A
+later rule's match absorbs every earlier replacement it overlaps, even in
+part, into one entry of its own that covers all of them and whatever of
+them the match left in the text.  Logged spans never overlap, so splicing
+the log into the input rebuilds the output.
 """
 
 from __future__ import annotations
@@ -35,14 +42,21 @@ HASHTAG_PATTERN = r"#\w+"  # optional rule, not in the default set
 
 @dataclass(frozen=True)
 class NormalizationRule:
-    """One rewrite rule: a regex scanned left to right, non-overlapping."""
+    """One rewrite rule: a regex scanned left to right, non-overlapping.
+
+    The pattern is compiled once, when the rule is built; a bad pattern
+    raises ConfigError there."""
 
     name: str
     pattern: str
     replacement: str
+    regex: re.Pattern = field(init=False, compare=False, repr=False)
 
-    def compiled(self) -> re.Pattern:
-        return re.compile(self.pattern)
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "regex", re.compile(self.pattern))
+        except re.error as exc:
+            raise ConfigError(f"bad pattern: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -80,99 +94,54 @@ def hashtag_rule() -> NormalizationRule:
     return NormalizationRule("hashtags", HASHTAG_PATTERN, "#ht")
 
 
-def _apply_one(text: str, rule: NormalizationRule):
-    """Single left-to-right pass of one rule.
-
-    Returns (new_text, matches) where each match is
-    ((start, end) in `text`, (start, end) in `new_text`).
-    """
-    pieces = []
-    matches = []
-    cursor = 0
-    out_len = 0
-    for m in rule.compiled().finditer(text):
-        if m.start() == m.end():
-            continue
-        pieces.append(text[cursor : m.start()])
-        out_len += m.start() - cursor
-        pieces.append(rule.replacement)
-        matches.append(((m.start(), m.end()), (out_len, out_len + len(rule.replacement))))
-        out_len += len(rule.replacement)
-        cursor = m.end()
-    pieces.append(text[cursor:])
-    return "".join(pieces), matches
-
-
-def _compose(rewrites: list[Rewrite], pass_matches, rule_name: str) -> list[Rewrite]:
-    """Fold one rule pass into the accumulated rewrite log.
-
-    `rewrites` carry spans as (original input, current text); the pass was
-    applied to the current text.  A pass match may swallow earlier
-    replacements whole (e.g. a mention match absorbing an adjacent ``htt``),
-    in which case the entries merge and the original span widens to cover
-    everything the match ultimately came from.
-    """
-    # Map a current-text position to an original-text position.  `right`
-    # selects which side to snap to when the position falls strictly
-    # inside an earlier replacement; its two ends map to the ends of
-    # what it replaced.
-    def to_original(pos: int, right: bool) -> int:
-        shift = 0
-        for rw in rewrites:
-            a, b = rw.replacement_span
-            if pos <= a:
-                break
-            if pos < b:
-                return rw.original_span[1] if right else rw.original_span[0]
-            shift = rw.original_span[1] - b
-        return pos + shift
-
-    merged: list[Rewrite] = []
-    survivors = list(rewrites)
-    offset = 0  # cumulative length delta of the current pass
-    for (a, b), (c, d) in pass_matches:
-        keep = []
-        for rw in survivors:
-            ra, rb = rw.replacement_span
-            if rb <= a or ra >= b:
-                keep.append(rw)
-            # else: fully covered by this match; merged below
-        survivors = keep
-        merged.append(Rewrite(rule_name, (to_original(a, False), to_original(b, True)), (c, d)))
-        offset += (d - c) - (b - a)
-    # Remaining earlier rewrites: shift their output spans by the deltas of
-    # pass matches occurring before them.
-    shifted = []
-    for rw in survivors:
-        ra, rb = rw.replacement_span
-        delta = 0
-        for (a, b), (c, d) in pass_matches:
-            if b <= ra:
-                delta += (d - c) - (b - a)
-        shifted.append(Rewrite(rw.rule, rw.original_span, (ra + delta, rb + delta)))
-    out = shifted + merged
-    out.sort(key=lambda rw: rw.replacement_span)
-    return out
-
-
 def normalize(text: str, rules: list[NormalizationRule] | None = None) -> NormalizedText:
     """Rewrite `text` under `rules` (default: urls then mentions).
 
     Total over unicode input.  The rewrite log records, for every
     substitution, the span consumed in the original input and the span of
     the fixed marker in the output; all characters outside logged original
-    spans are emitted unchanged.
+    spans are emitted unchanged, so splicing the log rebuilds the output.
     """
     if rules is None:
         rules = default_rules("es")
     if not rules:
         raise ConfigError("rule list must be non-empty")
-    rewrites: list[Rewrite] = []
-    current = text
+    log: list[Rewrite] = []
     for rule in rules:
-        current, matches = _apply_one(current, rule)
-        rewrites = _compose(rewrites, matches, rule.name)
-    return NormalizedText(text=current, rewrites=rewrites)
+        spans = [m.span() for m in rule.regex.finditer(text) if m.end() > m.start()]
+        if not spans:
+            continue
+        # One walk over the matches and the log, both in `text` order.  For a
+        # position of `text` outside every logged replacement, its original
+        # position is itself + shift and its output position itself + delta.
+        pieces, merged, n = [], [], len(log)
+        i = cursor = shift = delta = end = 0
+        for a, b in spans:
+            if a < end:  # the last absorbed replacement reaches into this match too
+                merged.pop()
+            else:
+                while i < n and log[i].replacement_span[1] <= a:  # kept: ends at or before the match
+                    rw = log[i]
+                    merged.append(Rewrite(rw.rule, rw.original_span,
+                                          (rw.replacement_span[0] + delta, rw.replacement_span[1] + delta)))
+                    shift = rw.original_span[1] - rw.replacement_span[1]
+                    i += 1
+                start = min(a, log[i].replacement_span[0]) if i < n else a
+                head = (start + shift, start + delta)
+            pieces += (text[cursor:a], rule.replacement)
+            cursor = b
+            delta = a + delta + len(rule.replacement) - b
+            end = max(end, b)
+            while i < n and log[i].replacement_span[0] < b:  # absorbed: overlaps the match
+                end = max(end, log[i].replacement_span[1])
+                shift = log[i].original_span[1] - log[i].replacement_span[1]
+                i += 1
+            merged.append(Rewrite(rule.name, (head[0], end + shift), (head[1], end + delta)))
+        merged += [Rewrite(rw.rule, rw.original_span,
+                           (rw.replacement_span[0] + delta, rw.replacement_span[1] + delta)) for rw in log[i:]]
+        pieces.append(text[cursor:])
+        text, log = "".join(pieces), merged
+    return NormalizedText(text=text, rewrites=log)
 
 
 def load_rules(path) -> list[NormalizationRule]:
@@ -189,12 +158,10 @@ def load_rules(path) -> list[NormalizationRule]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        name, pattern, replacement = parts
         try:
-            re.compile(pattern)
-        except re.error as exc:
-            raise ConfigError(f"{path}:{lineno}: bad pattern: {exc}") from exc
-        rules.append(NormalizationRule(name, pattern, replacement))
+            rules.append(NormalizationRule(*parts))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not rules:
         raise ConfigError(f"{path}: no rules defined")
     for rule in rules:

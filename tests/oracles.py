@@ -23,7 +23,7 @@ from styloprof.corpus import (Document, LabeledDocument, Sample, author_path, gr
                               load_flat_csv, load_pan_truth_dir, truth_path)
 from styloprof.errors import DataError
 from styloprof.features import LINEAR, FeatureKey
-from styloprof.normalize import normalize
+from styloprof.normalize import NormalizedText, Rewrite, normalize
 from styloprof.pos import TaggedToken, fallback_tag, ingest_tagged_file, relabel, simple_tokenize
 
 PAD = "_"
@@ -96,6 +96,62 @@ def featurekey_vectorize(char_counts, pos_counts, keys, policy) -> dict:
                 continue
             entries[col] = float(count) if scale == LINEAR else math.log2(1.0 + count)
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Normalization as one pass per rule, folded into the rewrite log with a
+# position map back to the original, a filter of the entries a match covers
+# and a shift of the rest.  The library walks the matches and the log
+# together once per rule.  The two logs agree wherever a match covers every
+# earlier replacement it overlaps whole and no earlier rule deletes text.
+
+def _reference_pass(text: str, rule):
+    pieces, matches, cursor, out_len = [], [], 0, 0
+    for m in re.finditer(rule.pattern, text):
+        if m.start() == m.end():
+            continue
+        pieces.append(text[cursor:m.start()])
+        out_len += m.start() - cursor
+        pieces.append(rule.replacement)
+        matches.append(((m.start(), m.end()), (out_len, out_len + len(rule.replacement))))
+        out_len += len(rule.replacement)
+        cursor = m.end()
+    pieces.append(text[cursor:])
+    return "".join(pieces), matches
+
+
+def _reference_fold(rewrites: list, pass_matches, rule_name: str) -> list:
+    def to_original(pos: int, right: bool) -> int:
+        shift = 0
+        for rw in rewrites:
+            a, b = rw.replacement_span
+            if pos <= a:
+                break
+            if pos < b:
+                return rw.original_span[1] if right else rw.original_span[0]
+            shift = rw.original_span[1] - b
+        return pos + shift
+
+    merged, survivors = [], list(rewrites)
+    for (a, b), (c, d) in pass_matches:
+        survivors = [rw for rw in survivors if rw.replacement_span[1] <= a or rw.replacement_span[0] >= b]
+        merged.append(Rewrite(rule_name, (to_original(a, False), to_original(b, True)), (c, d)))
+    shifted = []
+    for rw in survivors:
+        ra, rb = rw.replacement_span
+        delta = sum((d - c) - (b - a) for (a, b), (c, d) in pass_matches if b <= ra)
+        shifted.append(Rewrite(rw.rule, rw.original_span, (ra + delta, rb + delta)))
+    return sorted(shifted + merged, key=lambda rw: rw.replacement_span)
+
+
+def reference_normalize(text: str, rules) -> NormalizedText:
+    """`text` rewritten by each rule in turn, with the rewrite log folded
+    together pass by pass."""
+    rewrites = []
+    for rule in rules:
+        text, matches = _reference_pass(text, rule)
+        rewrites = _reference_fold(rewrites, matches, rule.name)
+    return NormalizedText(text=text, rewrites=rewrites)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,12 @@ def write_gender_setup(tmp_path, n_docs=60):
     (tmp_path / "exp.ini").write_text(GENDER_CONFIG, encoding="utf-8")
 
 
+def write_truth_dir(path, n_authors=4):
+    save_pan_truth_dir([Sample(id=f"a{i}", documents=[Document(f"a{i}:0", f"hola @amigo {':)' * i}")],
+                               labels=LabelSet(gender=("Female", "Male")[i % 2]))
+                        for i in range(n_authors)], str(path))
+
+
 def train_gender_model(tmp_path):
     write_gender_setup(tmp_path)
     code = main(["train", "--config", str(tmp_path / "exp.ini"),
@@ -92,6 +98,29 @@ class TestNormalizeCommand:
         assert code == 0
         assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "call NUM now\n"
 
+    def test_rule_file_log_splices_each_line_to_its_output(self, tmp_path):
+        # `z` overlaps part of an `@us` marker, `e` may start where `d` deleted
+        (tmp_path / "my.rules").write_text("mentions\t@\\w+\t@us\nz\ts#\tZ\nd\ta\t\ne\tbc\tY\n",
+                                           encoding="utf-8")
+        lines = ["@a#", "abc", "x @as# abc", "no match", "@bc#abc@s#"]
+        (tmp_path / "in.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code = main(["normalize", str(tmp_path / "in.txt"), str(tmp_path / "out.txt"),
+                     "--rules", str(tmp_path / "my.rules"), "--rewrites", str(tmp_path / "rewrites.tsv")])
+        assert code == 0
+        outputs = (tmp_path / "out.txt").read_text(encoding="utf-8").split("\n")[:-1]
+        assert outputs[:2] == ["@uZ", "Y"]
+        spans = {}
+        for row in (tmp_path / "rewrites.tsv").read_text(encoding="utf-8").splitlines():
+            lineno, _, a, b, c, d = row.split("\t")
+            spans.setdefault(int(lineno), []).append((int(a), int(b), int(c), int(d)))
+        for lineno, (line, output) in enumerate(zip(lines, outputs), start=1):
+            pieces, cursor = [], 0
+            for a, b, c, d in sorted(spans.get(lineno, [])):
+                assert cursor <= a
+                pieces += [line[cursor:a], output[c:d]]
+                cursor = b
+            assert "".join(pieces) + line[cursor:] == output, line
+
     def test_missing_input_is_a_data_error(self, tmp_path, capsys):
         code = main(["normalize", str(tmp_path / "absent.txt"), str(tmp_path / "o.txt")])
         assert code == 3
@@ -153,6 +182,14 @@ class TestFeaturizeCommand:
                      "--language", "es", "--grouping-k", "5",
                      "--vocab-out", str(tmp_path / "c.vocab")])
         assert code == 0
+
+    def test_grouping_flag_on_a_truth_dir_is_a_config_error(self, tmp_path, capsys):
+        write_truth_dir(tmp_path / "pan")
+        code = main(["featurize", "--corpus-format", "PanTruthDir", "--corpus-path", str(tmp_path / "pan"),
+                     "--language", "es", "--grouping-k", "3", "--vocab-out", str(tmp_path / "v")])
+        assert code == 2
+        assert "config error: grouping_k applies only to FlatCsv corpora" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_missing_corpus(self, tmp_path, capsys):
         code = main(["featurize", "--corpus-format", "FlatCsv",
@@ -238,6 +275,17 @@ class TestTrainPredictEvaluate:
                      "--output", str(tmp_path / "pred.tsv")])
         assert code == 3
         assert "trained against vocabulary" in capsys.readouterr().err
+
+    def test_grouping_flag_on_a_truth_dir_is_a_config_error(self, tmp_path, capsys):
+        train_gender_model(tmp_path)
+        write_truth_dir(tmp_path / "pan")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(tmp_path / "m.model"), "--vocab", str(tmp_path / "m.vocab"),
+                     "--corpus-format", "PanTruthDir", "--corpus-path", str(tmp_path / "pan"),
+                     "--language", "es", "--grouping-k", "3", "--output", str(tmp_path / "pred.tsv")])
+        assert code == 2
+        assert "config error: grouping_k applies only to FlatCsv corpora" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tsv").exists()
 
     def test_traits_loop(self, tmp_path, capsys):
         corpus = tmp_path / "pan"

@@ -224,6 +224,20 @@ class TestPanTruthDir:
         with pytest.raises(DataError, match="newline"):
             save_pan_truth_dir([sample], str(tmp_path / "out"))
 
+    @pytest.mark.parametrize("bad_id", ["", "a:::b", "a\nb", "a\r", " a", "a\t"])
+    def test_save_rejects_ids_it_cannot_read_back(self, tmp_path, bad_id):
+        good = Sample(id="good", documents=[Document("good:0", "hola")], labels=LabelSet(gender="Male"))
+        bad = Sample(id=bad_id, documents=[Document(f"{bad_id}:0", "hola")], labels=LabelSet(gender="Male"))
+        with pytest.raises(DataError, match="sample id"):
+            save_pan_truth_dir([good, bad], str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_id_with_other_line_separator_round_trips(self, tmp_path):
+        samples = [Sample(id="a\x85b", documents=[Document("a\x85b:0", "hola")],
+                          labels=LabelSet(gender="Female"))]
+        save_pan_truth_dir(samples, str(tmp_path))
+        assert load_pan_truth_dir(self.spec(tmp_path)) == samples
+
 
 class TestFlatCsv:
     def spec(self, path, **kw):

@@ -14,6 +14,8 @@ from styloprof.normalize import (
     normalize,
 )
 
+from oracles import reference_normalize
+
 TWEET_IN = "I was just watching ``update 10.'' @MKBHD http://t.co/P9Dn7t8zSl"
 TWEET_OUT = "I was just watching ``update 10.'' @us htt"
 
@@ -144,33 +146,53 @@ class TestNormalizeProperties:
         assert result.text.count("htt") == url_count
 
 
-TWO_RULES = "r1\ta\tX\nr2\tb\tY\n"
-RULE_SETS = ["default", "default+hashtags", "mentions+hashtags", "two-rule file"]
+RULE_FILES = {
+    "two-rule file": "r1\ta\tX\nr2\tb\tY\n",
+    # `s#` overlaps the tail of an `@us` marker
+    "partial-overlap file": "mentions\t@\\w+\t@us\nz\ts#\tZ\n",
+    # `d` deletes, so `e` may start where a deletion left nothing
+    "deletion file": "d\ta\t\ne\tbc\tY\n",
+    # each rule overlaps part of the replacement before it
+    "chain file": "x\ta\txyz\nw\tzb\tW\nv\tyW\tV\n",
+    # a match may end inside an `xyz` replacement, and two may share one
+    "inner file": "x\ta\txyz\nw\tbx|zc\tW\n",
+}
+RULE_SETS = ["default", "default+hashtags", "mentions+hashtags", *RULE_FILES]
+# the rule sets whose matches cover every replacement they overlap whole
+WHOLE_COVER_SETS = ["default", "default+hashtags", "mentions+hashtags", "two-rule file"]
 # pieces that make the rules' matches meet, nest and abut
-splice_texts = st.lists(st.sampled_from(["http://", "@", "#", "a", "b", "u", "t", "X", ":", "/", " "]),
+splice_texts = st.lists(st.sampled_from(["http://", "@", "#", "a", "b", "c", "s", "u", "t", "y", "z",
+                                         "X", "W", ":", "/", " "]),
                         max_size=16).map("".join)
 
 
 @pytest.fixture(scope="module")
 def rule_sets(tmp_path_factory):
-    path = tmp_path_factory.mktemp("rules") / "two.tsv"
-    path.write_text(TWO_RULES, encoding="utf-8")
+    folder = tmp_path_factory.mktemp("rules")
+    files = {}
+    for name, content in RULE_FILES.items():
+        path = folder / (name.replace(" ", "-") + ".tsv")
+        path.write_text(content, encoding="utf-8")
+        files[name] = load_rules(path)
     return {"default": default_rules("es"),
             "default+hashtags": default_rules("es") + [hashtag_rule()],
             "mentions+hashtags": [NormalizationRule("mentions", MENTION_PATTERN, "@us"), hashtag_rule()],
-            "two-rule file": load_rules(path)}
+            **files}
 
 
-def splice(text: str, result) -> str:
-    """`text` with each logged original span replaced by its replacement,
-    in original order; asserts that no two original spans overlap."""
+def splice(text: str, rewrites, output: str) -> str:
+    """`text` with each logged original span replaced by its span of
+    `output`, in original order; asserts that no two original spans overlap."""
     pieces, cursor = [], 0
-    for rw in sorted(result.rewrites, key=lambda rw: rw.original_span):
-        a, b = rw.original_span
-        assert cursor <= a, f"original spans overlap at {a}: {result.rewrites}"
-        pieces += [text[cursor:a], result.text[rw.replacement_span[0]:rw.replacement_span[1]]]
+    for rule, (a, b), (c, d) in sorted(rewrites, key=lambda rw: rw[1]):
+        assert cursor <= a, f"original spans overlap at {a}: {rewrites}"
+        pieces += [text[cursor:a], output[c:d]]
         cursor = b
     return "".join(pieces) + text[cursor:]
+
+
+def logged(result) -> list:
+    return [(rw.rule, rw.original_span, rw.replacement_span) for rw in result.rewrites]
 
 
 class TestRewriteSpans:
@@ -182,12 +204,46 @@ class TestRewriteSpans:
         assert [(rw.rule, rw.original_span) for rw in result.rewrites] == \
             [("r1", (0, 1)), ("r2", (1, 2))]
 
+    def test_partial_overlap_absorbs_the_whole_replacement(self, rule_sets):
+        result = normalize("@a#", rule_sets["partial-overlap file"])
+        assert result.text == "@uZ"
+        assert logged(result) == [("z", (0, 3), (0, 3))]
+
+    def test_match_after_a_deletion_maps_past_it(self, rule_sets):
+        result = normalize("abc", rule_sets["deletion file"])
+        assert result.text == "Y"
+        assert logged(result) == [("d", (0, 1), (0, 0)), ("e", (1, 3), (0, 1))]
+
+    def test_chain_of_partial_overlaps(self, rule_sets):
+        result = normalize("ab", rule_sets["chain file"])
+        assert result.text == "xV"
+        assert logged(result) == [("v", (0, 2), (0, 2))]
+
+    def test_matches_sharing_a_replacement_merge_into_one_entry(self, rule_sets):
+        result = normalize("bac", rule_sets["inner file"])
+        assert result.text == "WyW"
+        assert logged(result) == [("w", (0, 3), (0, 3))]
+        result = normalize("ba", rule_sets["inner file"])
+        assert result.text == "Wyz"
+        assert logged(result) == [("w", (0, 2), (0, 3))]
+
     @pytest.mark.parametrize("name", RULE_SETS)
     @given(text=splice_texts)
     @settings(max_examples=300)
     def test_splicing_the_log_rebuilds_the_output(self, rule_sets, name, text):
         result = normalize(text, rule_sets[name])
-        assert splice(text, result) == result.text
+        assert splice(text, logged(result), result.text) == result.text
+        assert [rw.replacement_span for rw in result.rewrites] == \
+            sorted(rw.replacement_span for rw in result.rewrites)
+
+    @pytest.mark.parametrize("name", WHOLE_COVER_SETS)
+    @given(text=splice_texts | fuzz_text)
+    @settings(max_examples=300)
+    def test_log_matches_the_pass_by_pass_reference(self, rule_sets, name, text):
+        result = normalize(text, rule_sets[name])
+        reference = reference_normalize(text, rule_sets[name])
+        assert result.text == reference.text
+        assert logged(result) == logged(reference)
 
 
 class TestRuleFiles:
@@ -213,9 +269,13 @@ class TestRuleFiles:
 
     def test_bad_pattern_rejected(self, tmp_path):
         path = tmp_path / "rules.tsv"
-        path.write_text("broken\t[unclosed\tx\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="bad pattern"):
+        path.write_text("# comment\nbroken\t[unclosed\tx\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"rules\.tsv:2: bad pattern: unterminated character set"):
             load_rules(path)
+
+    def test_bad_pattern_rejected_where_the_rule_is_built(self):
+        with pytest.raises(ConfigError, match="bad pattern"):
+            NormalizationRule("broken", "[unclosed", "x")
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "rules.tsv"
