@@ -7,8 +7,9 @@ whitespace token padded with one underscore per side; tag grams run
 over the document's tag stream unpadded.
 
 `char_ngrams` keys each gram by its window string ("_se") and
-`pos_ngrams` by its tuple of tags; the vocabulary names its columns
-with `FeatureKey(channel, gram)`.  `vectorize` turns a list of samples
+`pos_ngrams` by its tuple of tags.  The vocabulary keeps them the same
+way, in two sorted lists: the char grams take the first columns, the POS
+grams the rest.  `vectorize` turns a list of samples
 into one `SparseMatrix` (compressed sparse rows), the input of training
 and prediction.
 """
@@ -20,27 +21,28 @@ from collections import Counter
 from styloprof.features import (Vocabulary, build_vocabulary, char_ngrams,
                                 default_policy, pos_ngrams, vectorize)
 
-grams = char_ngrams("self-defense", 1, 3)
+grams = char_ngrams("self-defense")
 by_order = Counter(len(gram) for gram in grams.elements())
 print("char grams of 'self-defense':", dict(by_order), "=",
       sum(by_order.values()), "total")
 print(sorted(grams))
 
 stream = ["REF@USERNAME", "REF@USERNAME", "N", "V", "P", "N", "F", "N", "F"]
-tag_grams = pos_ngrams(stream, 1, 3)
+tag_grams = pos_ngrams(stream)
 print("tag grams:", sum(tag_grams.values()))
 
 # a vocabulary maps grams to columns; min_df drops grams seen in fewer
 # than that many distinct samples
 samples = [
-    (char_ngrams("jaja si si", 1, 3), pos_ngrams(["F", "N"], 1, 3)),
-    (char_ngrams("jaja no", 1, 3), pos_ngrams(["F", "N", "V"], 1, 3)),
-    (char_ngrams("bueno si", 1, 3), pos_ngrams(["N"], 1, 3)),
+    (char_ngrams("jaja si si"), pos_ngrams(["F", "N"])),
+    (char_ngrams("jaja no"), pos_ngrams(["F", "N", "V"])),
+    (char_ngrams("bueno si"), pos_ngrams(["N"])),
 ]
 vocab = build_vocabulary(samples, min_df=2)
 print("vocabulary size:", len(vocab), "content hash:",
       vocab.content_hash()[:12], "...")
-print("first column:", vocab.keys[0])
+print(len(vocab.char_grams), "char grams, first column:", repr(vocab.char_grams[0]), "/",
+      len(vocab.pos_grams), "POS grams, first:", vocab.pos_grams[0])
 
 # counts become one sparse row per sample under a scaling policy; Spanish
 # defaults to log2(1 + count) on the tag channel and linear everywhere else
@@ -49,10 +51,11 @@ print("policy for es:", policy)
 X = vectorize(samples, vocab, policy)
 print(len(X), "rows,", X.dimension, "columns,", len(X.entries), "stored entries")
 columns, values = X.row(0)
+grams = vocab.char_grams + vocab.pos_grams
 print("sample 0 ->", len(columns), "of", X.dimension, "columns set; first:",
-      vocab.keys[columns[0]], "=", values[0])
+      repr(grams[columns[0]]), "=", values[0])
 
 # the vocabulary is a plain text artifact and survives a round trip
 path = os.path.join(tempfile.mkdtemp(prefix="styloprof-demo-"), "demo.vocab")
 vocab.save(path)
-print("reload equal:", Vocabulary.load(path).keys == vocab.keys)
+print("reload equal:", Vocabulary.load(path) == vocab)

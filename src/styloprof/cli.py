@@ -67,8 +67,7 @@ def _cmd_featurize(args) -> int:
     counts = [sample_counts(s) for s in samples]
     vocab = build_vocabulary(counts, min_df=args.min_df)
     vocab.save(args.vocab_out)
-    n_char = sum(1 for k in vocab.keys if k.channel == "char")
-    print(f"vocabulary: {len(vocab)} keys ({n_char} char, {len(vocab) - n_char} pos) "
+    print(f"vocabulary: {len(vocab)} keys ({len(vocab.char_grams)} char, {len(vocab.pos_grams)} pos) "
           f"from {len(samples)} sample(s) -> {args.vocab_out}")
     return 0
 

@@ -45,6 +45,8 @@ FORMATS = ("PanTruthDir", "FlatCsv")
 LANGUAGES = ("es", "en", "it", "nl")
 
 TRUTH_SEP = ":::"
+# an author id names files inside the truth dir, so it holds none of these
+_PATH_BREAKS = tuple(sep for sep in ("/", os.sep, os.altsep, "\0") if sep)
 _ABSENT_TOKENS = ("XX", "XX-XX")
 
 
@@ -220,6 +222,8 @@ def _parse_truth_line(line: str, where: str) -> tuple[str, LabelSet]:
     author_id = parts[0].strip()
     if not author_id:
         raise DataError(f"{where}: empty author id")
+    if any(bad in author_id for bad in _PATH_BREAKS):
+        raise DataError(f"{where}: author id {author_id!r} holds a path separator or NUL")
     try:
         gender = parse_gender(parts[1])
         age_band = parse_age_band(parts[2])
@@ -270,9 +274,10 @@ def save_pan_truth_dir(samples: list[Sample], dirpath: str) -> None:
     truth_lines = []
     for sample in samples:
         if (not sample.id or sample.id != sample.id.strip()
-                or any(bad in sample.id for bad in (TRUTH_SEP, "\n", "\r"))):
+                or any(bad in sample.id for bad in (TRUTH_SEP, "\n", "\r") + _PATH_BREAKS)):
             raise DataError(f"sample id {sample.id!r}: a truth dir cannot hold an empty id, "
-                            f"{TRUTH_SEP!r}, a line break or surrounding whitespace")
+                            f"{TRUTH_SEP!r}, a line break, a path separator, NUL "
+                            f"or surrounding whitespace")
         labels = sample.labels
         if labels.gender is None:
             raise DataError(f"sample {sample.id!r}: this layout cannot omit gender")

@@ -375,17 +375,17 @@ def sample_counts(sample: Sample) -> tuple[Counter, Counter]:
     """Char (string-keyed) and POS (tuple-keyed) gram counts pooled over
     every document of a sample.  Tokens never span documents, so the
     char grams of the joined texts are the sum of each document's."""
-    chars = char_ngrams(" ".join(doc.text for doc in sample.documents), 1, 3)
+    chars = char_ngrams(" ".join(doc.text for doc in sample.documents))
     tags: Counter = Counter()
     for doc in sample.documents:
         # elements() keeps the merge in C; Counter.update merges a mapping
         # key by key in Python
-        tags.update(pos_ngrams(list(doc.pos_tags), 1, 3).elements())
+        tags.update(pos_ngrams(list(doc.pos_tags)).elements())
     return chars, tags
 
 
 def extract_counts(sample: Sample) -> tuple[Counter, Counter]:
-    """`sample_counts` re-keyed by `FeatureKey`, the vocabulary's key type.
+    """`sample_counts` re-keyed by `FeatureKey`.
 
     A benchmark-only view: the benchmark's recount check reads `key.gram`
     off the pooled counts.  Its output is not input for `build_vocabulary`

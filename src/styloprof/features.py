@@ -1,17 +1,16 @@
 """Character and POS n-gram features over a shared sparse vocabulary.
 
 Character n-grams: the text is whitespace-tokenized, every token is padded
-with a single ``_`` on each side, and all windows of the requested orders
-are emitted except windows made of pad marks only.  For ``self-defense``
-and orders 1..3 this yields 12 unigrams, 13 bigrams and 12 trigrams.
+with a single ``_`` on each side, and all windows of orders 1 to 3 are
+emitted except windows made of pad marks only.  For ``self-defense``
+this yields 12 unigrams, 13 bigrams and 12 trigrams.
 
-POS n-grams: plain windows over the unpadded tag stream.
+POS n-grams: plain windows of orders 1 to 3 over the unpadded tag stream.
 
-Grams are counted under plain keys, one key type per channel: a char
-gram is its window string (``"_se"``), a POS gram its tuple of tags.
-`build_vocabulary` and `vectorize` take those counts as they are; only
-the vocabulary's own columns are named by `FeatureKey(channel, gram)`,
-which is also what the vocabulary file and `content_hash` are made of.
+Grams are keyed one way per channel, from the counters to the
+vocabulary: a char gram is its window string (``"_se"``), a POS gram its
+tuple of tags.  `build_vocabulary`, `Vocabulary` and `vectorize` take
+them as they are.
 
 Counts are per *sample* (all documents pooled) and scaled either linearly
 or as log2(1 + count), selectable per channel.  `vectorize` turns a list
@@ -34,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import read_lines, write_lines
+from .corpus import LANGUAGES, read_lines, write_lines
 from .errors import ConfigError, DataError
 
 CHAR = "char"
@@ -46,6 +45,10 @@ LOG2 = "log2"
 
 
 class FeatureKey(NamedTuple):
+    """A gram named with its channel, the gram a tuple of units.  Only
+    `experiment.extract_counts`, the benchmark's recount view, keys counts
+    this way; the rest of the library keys grams as the counters do."""
+
     channel: str  # CHAR or POS
     gram: tuple[str, ...]
 
@@ -58,44 +61,33 @@ class ScalingPolicy(NamedTuple):
 def default_policy(language: str) -> ScalingPolicy:
     """Per-language scaling defaults: log-scaled POS counts for Spanish,
     linear everywhere else."""
-    if language == "es":
-        return ScalingPolicy(LINEAR, LOG2)
-    if language in ("en", "it", "nl"):
-        return ScalingPolicy(LINEAR, LINEAR)
-    raise ConfigError(f"unsupported language {language!r}")
+    if language not in LANGUAGES:
+        raise ConfigError(f"unsupported language {language!r}")
+    return ScalingPolicy(LINEAR, LOG2 if language == "es" else LINEAR)
 
 
-def _check_order(n_min: int, n_max: int) -> None:
-    if not (1 <= n_min <= n_max <= 3):
-        raise ConfigError(f"n-gram orders must satisfy 1 <= n_min <= n_max <= 3, got ({n_min}, {n_max})")
-
-
-def char_ngrams(text: str, n_min: int = 1, n_max: int = 3) -> Counter:
-    """Multiset of padded character n-grams of orders n_min..n_max, keyed
-    by the window itself (``"_ab"``).  Keys first appear token by token,
-    lower orders first, so pooled counts keep a stable order."""
-    _check_order(n_min, n_max)
+def char_ngrams(text: str) -> Counter:
+    """Multiset of padded character n-grams of orders 1 to 3, keyed by the
+    window itself (``"_ab"``).  Keys first appear token by token, lower
+    orders first, so pooled counts keep a stable order."""
     windows: list[str] = []
     for token in text.split():
-        padded = PAD + token + PAD
-        grams = padded
-        for n in range(1, n_max + 1):
-            if n > 1:
-                grams = list(map(str.__add__, grams, padded[n - 1 :]))
-            if n >= n_min:
-                windows += grams
+        grams = padded = PAD + token + PAD
+        windows += padded
+        for n in (2, 3):
+            grams = list(map(str.__add__, grams, padded[n - 1 :]))
+            windows += grams
     counts = Counter(windows)
-    for n in range(n_min, n_max + 1):
+    for n in (1, 2, 3):
         counts.pop(PAD * n, None)
     return counts
 
 
-def pos_ngrams(stream: list[str], n_min: int = 1, n_max: int = 3) -> Counter:
-    """Multiset of unpadded tag n-grams of orders n_min..n_max, keyed by
-    the tuple of tags."""
-    _check_order(n_min, n_max)
+def pos_ngrams(stream: list[str]) -> Counter:
+    """Multiset of unpadded tag n-grams of orders 1 to 3, keyed by the
+    tuple of tags."""
     grams: Counter = Counter()
-    for n in range(n_min, n_max + 1):
+    for n in (1, 2, 3):
         grams.update(zip(*(stream[i:] for i in range(n))))
     return grams
 
@@ -170,48 +162,51 @@ class SparseMatrix:
 
 @dataclass
 class Vocabulary:
-    """Bijection between feature keys and column ids, ordered by channel
-    then lexicographic gram so construction order never matters.
+    """Bijection between grams and column ids: the char grams, then the
+    POS grams, each list strictly ascending, so the columns, the file and
+    `content_hash` depend only on which grams there are.
 
-    `vectorize` looks grams up in one index per channel, keyed the way
-    `char_ngrams` (a string) and `pos_ngrams` (a tuple) key them.  A char
-    gram's units must each be one character, so that the string names a
-    single key, and no key may appear twice."""
+    Grams are keyed the way `char_ngrams` (a string) and `pos_ngrams` (a
+    tuple) key them, and `vectorize` looks them up in `char_index` and
+    `pos_index`.  A gram out of order or repeated raises DataError."""
 
-    keys: list[FeatureKey]
+    char_grams: list[str]
+    pos_grams: list[tuple[str, ...]]
     min_df: int
     char_index: dict[str, int] = field(init=False, repr=False, compare=False)
     pos_index: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.char_index, self.pos_index = {}, {}
-        for col, key in enumerate(self.keys):
-            if key.channel == CHAR:
-                if any(len(unit) != 1 for unit in key.gram):
-                    raise DataError(f"char gram {key.gram!r} has a unit that is not one character")
-                index, gram = self.char_index, "".join(key.gram)
-            elif key.channel == POS:
-                index, gram = self.pos_index, key.gram
-            else:
-                continue
-            if gram in index:
-                raise DataError(f"repeated vocabulary key {key.channel} {key.gram!r}")
-            index[gram] = col
+        for channel, grams in ((CHAR, self.char_grams), (POS, self.pos_grams)):
+            if not all(map(operator.lt, grams, grams[1:])):
+                i = next(i for i in range(1, len(grams)) if not grams[i - 1] < grams[i])
+                what = "repeated vocabulary key" if grams[i] == grams[i - 1] else "gram out of order"
+                raise DataError(f"{what} {channel} {grams[i]!r}")
+        n_char = len(self.char_grams)
+        self.char_index = dict(zip(self.char_grams, range(n_char)))
+        self.pos_index = dict(zip(self.pos_grams, range(n_char, len(self))))
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.char_grams) + len(self.pos_grams)
+
+    def _gram_lines(self) -> list[str]:
+        """The vocabulary file's key lines without their column: the
+        channel, a tab, then the gram's units (a char gram's characters)
+        escaped through `_ESCAPE_TABLE` and joined by `UNIT_SEP`."""
+        return [f"{channel}\t{UNIT_SEP.join([unit.translate(_ESCAPE_TABLE) for unit in gram])}"
+                for channel, grams in ((CHAR, self.char_grams), (POS, self.pos_grams))
+                for gram in grams]
 
     def content_hash(self) -> str:
         """SHA-256 of the vocabulary file's key lines without their column,
         each ended by a newline."""
-        lines = "".join([f"{_key_line(key)}\n" for key in self.keys])
+        lines = "".join([f"{line}\n" for line in self._gram_lines()])
         return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
-        n_char = sum(1 for k in self.keys if k.channel == CHAR)
-        n_pos = len(self.keys) - n_char
-        header = f"styloprof-vocab-v1\tchar={n_char}\tpos={n_pos}\tmin_df={self.min_df}"
-        write_lines(path, [header] + [f"{_key_line(key)}\t{col}" for col, key in enumerate(self.keys)])
+        header = (f"styloprof-vocab-v1\tchar={len(self.char_grams)}\tpos={len(self.pos_grams)}"
+                  f"\tmin_df={self.min_df}")
+        write_lines(path, [header] + [f"{line}\t{col}" for col, line in enumerate(self._gram_lines())])
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -225,7 +220,8 @@ class Vocabulary:
             min_df = int(fields["min_df"])
         except (KeyError, ValueError) as exc:
             raise DataError(f"{path}: bad vocabulary header") from exc
-        keys = []
+        grams = {CHAR: [], POS: []}
+        previous = ("", "")
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split("\t")
             if len(parts) != 3:
@@ -234,24 +230,31 @@ class Vocabulary:
             if channel not in (CHAR, POS):
                 raise DataError(f"{path}:{lineno}: unknown channel {channel!r}")
             try:
-                in_order = int(col) == len(keys)
+                in_order = int(col) == lineno - 2
             except ValueError:
                 raise DataError(f"{path}:{lineno}: column {col!r} is not an integer") from None
             if not in_order:
                 raise DataError(f"{path}:{lineno}: columns out of order")
-            keys.append(FeatureKey(channel, _split_units(joined)))
-        try:
-            vocab = cls(keys=keys, min_df=min_df)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
-        if not all(map(operator.lt, keys, keys[1:])):
-            col = next(col for col in range(1, len(keys)) if keys[col] < keys[col - 1])
-            raise DataError(f"{path}:{col + 2}: key not in (channel, gram) order")
-        found = {CHAR: len(vocab.char_index), POS: len(vocab.pos_index)}
+            units = [_unescape_unit(unit) for unit in joined.split(UNIT_SEP)]
+            if channel == POS:
+                gram = tuple(units)
+            elif all(len(unit) == 1 for unit in units):
+                gram = "".join(units)
+            else:
+                raise DataError(f"{path}:{lineno}: char gram {units!r} has a unit "
+                                f"that is not one character")
+            # (channel, gram) pairs ascend: the char block, then the POS block
+            if (channel, gram) <= previous:
+                what = ("repeated vocabulary key" if (channel, gram) == previous
+                        else "key not in (channel, gram) order")
+                raise DataError(f"{path}:{lineno}: {what}")
+            previous = channel, gram
+            grams[channel].append(gram)
+        found = {channel: len(grams[channel]) for channel in (CHAR, POS)}
         if found != declared:
             raise DataError(f"{path}: header declares char={declared[CHAR]} pos={declared[POS]}, "
                             f"file holds char={found[CHAR]} pos={found[POS]}")
-        return vocab
+        return cls(grams[CHAR], grams[POS], min_df)
 
 
 UNIT_SEP = "␟"  # printable unit-separator symbol
@@ -276,17 +279,6 @@ def _unescape_sequence(match: re.Match) -> str:
     return _UNESCAPES[match[1]]
 
 
-def _key_line(key: FeatureKey) -> str:
-    """The key as the vocabulary file writes it: channel, a tab, then the
-    units escaped through `_ESCAPE_TABLE` and joined by `UNIT_SEP`."""
-    units = UNIT_SEP.join([unit.translate(_ESCAPE_TABLE) for unit in key.gram])
-    return f"{key.channel}\t{units}"
-
-
-def _split_units(joined: str) -> tuple[str, ...]:
-    return tuple(_unescape_unit(u) for u in joined.split(UNIT_SEP))
-
-
 def build_vocabulary(samples: Iterable[tuple[Counter, Counter]], min_df: int = 2) -> Vocabulary:
     """Vocabulary of grams occurring in at least `min_df` distinct training
     samples, from (`char_ngrams`, `pos_ngrams`)-keyed count pairs.  Build
@@ -302,13 +294,8 @@ def build_vocabulary(samples: Iterable[tuple[Counter, Counter]], min_df: int = 2
         pos_df.update(pos_counts.keys())
     if n == 0:
         raise DataError("cannot build a vocabulary from an empty training set")
-    # a string sorts like the tuple of its characters, so this is the
-    # (channel, gram) order of the FeatureKeys
-    char_grams = sorted(gram for gram, d in char_df.items() if d >= min_df)
-    pos_grams = sorted(gram for gram, d in pos_df.items() if d >= min_df)
-    keys = [FeatureKey(CHAR, tuple(gram)) for gram in char_grams]
-    keys += [FeatureKey(POS, gram) for gram in pos_grams]
-    return Vocabulary(keys=keys, min_df=min_df)
+    return Vocabulary(sorted(gram for gram, d in char_df.items() if d >= min_df),
+                      sorted(gram for gram, d in pos_df.items() if d >= min_df), min_df)
 
 
 def vectorize(samples: Iterable[tuple[Counter, Counter]], vocab: Vocabulary,

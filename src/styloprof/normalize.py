@@ -30,10 +30,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .corpus import read_lines
+from .corpus import LANGUAGES, read_lines
 from .errors import ConfigError
-
-SUPPORTED_LANGUAGES = ("es", "en", "it", "nl")
 
 URL_PATTERN = r"https?://\S*"
 MENTION_PATTERN = r"@\w+"
@@ -80,8 +78,8 @@ def default_rules(language: str) -> list[NormalizationRule]:
     Currently identical for all four languages; this function is the
     extension point for per-language rules.
     """
-    if language not in SUPPORTED_LANGUAGES:
-        raise ConfigError(f"unsupported language {language!r}; expected one of {SUPPORTED_LANGUAGES}")
+    if language not in LANGUAGES:
+        raise ConfigError(f"unsupported language {language!r}; expected one of {LANGUAGES}")
     return [
         NormalizationRule("urls", URL_PATTERN, "htt"),
         NormalizationRule("mentions", MENTION_PATTERN, "@us"),

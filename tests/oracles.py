@@ -63,7 +63,7 @@ def pos_ngram_reference(stream: list, n_min: int, n_max: int) -> dict:
 # FeatureKey-keyed feature layer: every gram a FeatureKey(channel, tuple),
 # one index over all keys.  The library keys grams by plain strings and
 # tuples per channel instead; these pin that it builds the same
-# vocabulary, file bytes and vectors, entry order included.
+# vocabulary, file bytes, hash and vectors, entry order included.
 
 def featurekey_sample_counts(documents) -> tuple[Counter, Counter]:
     """Per-document reference counts, FeatureKey-keyed, pooled one
@@ -84,6 +84,23 @@ def featurekey_vocabulary_keys(samples, min_df: int) -> list:
         seen.update(pos_counts)
         df.update(seen)
     return sorted(key for key, d in df.items() if d >= min_df)
+
+
+def featurekey_vocabulary_file(keys, min_df: int) -> tuple[str, str]:
+    """(file text, content hash) of a vocabulary over sorted FeatureKeys,
+    escaping one character at a time: a key line is the channel, a tab,
+    the escaped units joined by the unit separator, a tab and the column;
+    the hash covers the key lines without their column."""
+    escapes = {"\\": "\\\\", "\u241f": "\\U", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+    key_lines = []
+    for key in keys:
+        units = ["".join(escapes.get(ch, ch) for ch in unit) for unit in key.gram]
+        key_lines.append(key.channel + "\t" + "\u241f".join(units))
+    n_char = sum(1 for key in keys if key.channel == "char")
+    text = f"styloprof-vocab-v1\tchar={n_char}\tpos={len(keys) - n_char}\tmin_df={min_df}\n"
+    text += "".join(f"{line}\t{col}\n" for col, line in enumerate(key_lines))
+    digest = hashlib.sha256("".join(line + "\n" for line in key_lines).encode("utf-8")).hexdigest()
+    return text, digest
 
 
 def featurekey_vectorize(char_counts, pos_counts, keys, policy) -> dict:

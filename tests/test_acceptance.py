@@ -82,8 +82,8 @@ def test_ngram_example_fidelity():
     assert len(expected_chars) < 37 and sum(expected_chars.values()) == 37
     assert sum(expected_tags.values()) == 24
 
-    chars = char_ngrams(WORD, 1, 3)
-    tags = pos_ngrams(TAG_STREAM, 1, 3)
+    chars = char_ngrams(WORD)
+    tags = pos_ngrams(TAG_STREAM)
     assert Counter(dict(chars)) == expected_chars
     assert Counter(dict(tags)) == expected_tags
     per_order = Counter(len(gram) for gram in chars.elements())
@@ -92,8 +92,8 @@ def test_ngram_example_fidelity():
     best = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
-        char_ngrams(WORD, 1, 3)
-        pos_ngrams(TAG_STREAM, 1, 3)
+        char_ngrams(WORD)
+        pos_ngrams(TAG_STREAM)
         best = min(best, time.perf_counter() - t0)
     assert best < 1e-3
     return f"37 + 24 grams, {best * 1e6:.0f} us"

@@ -191,6 +191,18 @@ class TestFeaturizeCommand:
         assert "config error: grouping_k applies only to FlatCsv corpora" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
+    def test_author_id_outside_the_truth_dir_exits_3(self, tmp_path, capsys):
+        write_truth_dir(tmp_path / "pan")
+        (tmp_path / "x.txt").write_text("hola\n", encoding="utf-8")
+        with open(tmp_path / "pan" / "truth.txt", "a", encoding="utf-8") as fh:
+            fh.write("../x:::M:::XX\n")
+        code = main(["featurize", "--corpus-format", "PanTruthDir", "--corpus-path", str(tmp_path / "pan"),
+                     "--language", "es", "--min-df", "1", "--vocab-out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and "author id '../x' holds a path separator" in err
+        assert not (tmp_path / "v").exists()
+
     def test_missing_corpus(self, tmp_path, capsys):
         code = main(["featurize", "--corpus-format", "FlatCsv",
                      "--corpus-path", str(tmp_path / "absent.csv"),

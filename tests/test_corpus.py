@@ -194,6 +194,9 @@ class TestPanTruthDir:
         ("pepe:::Q:::XX", "gender"),
         ("pepe:::M:::21-30", "age band"),
         (":::M:::XX", "empty author id"),
+        ("../pepe:::M:::XX", "path separator"),
+        ("sub/pepe:::M:::XX", "path separator"),
+        ("pe\x00pe:::M:::XX", "path separator"),
         ("pepe:::M:::XX:::a:::0:::0:::0:::0", "E trait"),
         ("pepe:::M:::XX:::0.9:::0:::0:::0:::0", "outside"),
     ])
@@ -224,12 +227,14 @@ class TestPanTruthDir:
         with pytest.raises(DataError, match="newline"):
             save_pan_truth_dir([sample], str(tmp_path / "out"))
 
-    @pytest.mark.parametrize("bad_id", ["", "a:::b", "a\nb", "a\r", " a", "a\t"])
+    @pytest.mark.parametrize("bad_id", ["", "a:::b", "a\nb", "a\r", " a", "a\t",
+                                        "../esc", "sub/x", "a\x00b"])
     def test_save_rejects_ids_it_cannot_read_back(self, tmp_path, bad_id):
         good = Sample(id="good", documents=[Document("good:0", "hola")], labels=LabelSet(gender="Male"))
         bad = Sample(id=bad_id, documents=[Document(f"{bad_id}:0", "hola")], labels=LabelSet(gender="Male"))
+        out = tmp_path / "out"
         with pytest.raises(DataError, match="sample id"):
-            save_pan_truth_dir([good, bad], str(tmp_path))
+            save_pan_truth_dir([good, bad], str(out))
         assert list(tmp_path.iterdir()) == []
 
     def test_id_with_other_line_separator_round_trips(self, tmp_path):

@@ -727,12 +727,11 @@ class TestResultFiles:
         assert fingerprint() != before
 
     def test_fingerprint_independent_of_hash_seed(self, tmp_path):
-        # author ids may hold a path separator, so two loaded files can
-        # share a basename
-        (tmp_path / "sub").mkdir()
-        (tmp_path / "truth.txt").write_text("x:::M:::XX\nsub/x:::F:::XX\n", encoding="utf-8")
-        (tmp_path / "x.txt").write_text("hola\n", encoding="utf-8")
-        (tmp_path / "sub" / "x.txt").write_text("adios\n", encoding="utf-8")
+        # the loaded paths are gathered in a set; the digest must not
+        # depend on its iteration order
+        (tmp_path / "truth.txt").write_text("x:::M:::XX\ny:::F:::XX\nz:::F:::XX\n", encoding="utf-8")
+        for author, text in (("x", "hola"), ("y", "adios"), ("z", "buenas")):
+            (tmp_path / f"{author}.txt").write_text(f"{text}\n", encoding="utf-8")
         script = ("import sys\n"
                   "from styloprof.corpus import CorpusSpec\n"
                   "from styloprof.experiment import prepare_corpus\n"

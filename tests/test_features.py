@@ -1,5 +1,6 @@
 """Character/POS n-grams, scaling, vocabulary build and serialization."""
 
+import hashlib
 import math
 import random
 import re
@@ -27,10 +28,12 @@ from styloprof.features import (
     vectorize,
 )
 
-from styloprof.corpus import Document, LabelSet, Sample
-from styloprof.experiment import extract_counts, sample_counts
+from styloprof.corpus import CorpusSpec, Document, LabelSet, Sample, save_flat_csv
+from styloprof.experiment import as_samples, extract_counts, prepare_corpus, sample_counts
+from styloprof.normalize import default_rules
+from styloprof.synthetic import marker_corpus
 
-from oracles import (featurekey_sample_counts, featurekey_vectorize,
+from oracles import (featurekey_sample_counts, featurekey_vectorize, featurekey_vocabulary_file,
                      featurekey_vocabulary_keys, ngram_reference, pos_ngram_reference)
 
 
@@ -56,40 +59,35 @@ EXAMPLE_STREAM = [
 class TestCharNgrams:
     def test_self_defense_multiset(self):
         expected = Counter(SELF_DEFENSE_UNIGRAMS + SELF_DEFENSE_BIGRAMS + SELF_DEFENSE_TRIGRAMS)
-        assert char_ngrams("self-defense", 1, 3) == expected
+        assert char_ngrams("self-defense") == expected
 
     def test_self_defense_counts_per_order(self):
-        grams = char_ngrams("self-defense", 1, 3)
+        grams = char_ngrams("self-defense")
         by_order = Counter(len(gram) for gram in grams.elements())
         assert by_order == {1: 12, 2: 13, 3: 12}
 
     def test_empty_text(self):
-        assert char_ngrams("", 1, 3) == Counter()
+        assert char_ngrams("") == Counter()
 
     def test_whitespace_only(self):
-        assert char_ngrams(" \t\n ", 1, 3) == Counter()
+        assert char_ngrams(" \t\n ") == Counter()
 
     def test_single_char_token(self):
-        grams = char_ngrams("a", 1, 3)
+        grams = char_ngrams("a")
         assert grams == Counter({"a": 1, "_a": 1, "a_": 1, "_a_": 1})
 
     def test_tokens_padded_independently(self):
         # inter-word space never appears inside a gram
-        grams = char_ngrams("ab cd", 2, 2)
+        grams = char_ngrams("ab cd")
         assert "b " not in grams
         assert "bc" not in grams
         assert grams["ab"] == 1
         assert grams["_c"] == 1
 
-    def test_order_bounds_validated(self):
-        for bad in [(0, 3), (1, 4), (2, 1), (-1, 1)]:
-            with pytest.raises(ConfigError):
-                char_ngrams("x", *bad)
-
     @given(st.text(alphabet="abæ😀_- ", max_size=40))
     @settings(max_examples=300)
     def test_matches_brute_force_reference(self, text):
-        got = char_ngrams(text, 1, 3)
+        got = char_ngrams(text)
         want = ngram_reference(text, 1, 3)
         assert {(CHAR, tuple(gram)): v for gram, v in got.items()} == want
 
@@ -97,7 +95,7 @@ class TestCharNgrams:
     @settings(max_examples=300)
     def test_matches_reference_any_orders(self, text, a, b):
         lo, hi = min(a, b), max(a, b)
-        got = char_ngrams(text, lo, hi)
+        got = {gram: v for gram, v in char_ngrams(text).items() if lo <= len(gram) <= hi}
         want = ngram_reference(text, lo, hi)
         assert {(CHAR, tuple(gram)): v for gram, v in got.items()} == want
 
@@ -106,13 +104,13 @@ class TestCharNgrams:
     def test_count_conservation_single_token(self, token):
         # pad-free tokens of length L yield L unigrams, L+1 bigrams, L trigrams
         length = len(token)
-        for n, expected in ((1, length), (2, length + 1), (3, length)):
-            assert sum(char_ngrams(token, n, n).values()) == expected
+        by_order = Counter(len(gram) for gram in char_ngrams(token).elements())
+        assert by_order == {1: length, 2: length + 1, 3: length}
 
 
 class TestPosNgrams:
     def test_example_stream_multiset(self):
-        grams = pos_ngrams(EXAMPLE_STREAM, 1, 3)
+        grams = pos_ngrams(EXAMPLE_STREAM)
         assert sum(grams.values()) == 24
         want = pos_ngram_reference(EXAMPLE_STREAM, 1, 3)
         assert {(POS, gram): v for gram, v in grams.items()} == want
@@ -122,17 +120,17 @@ class TestPosNgrams:
         assert grams[("F", "N", "F")] == 1
 
     def test_no_padding(self):
-        grams = pos_ngrams(["N", "V"], 1, 3)
+        grams = pos_ngrams(["N", "V"])
         assert sum(grams.values()) == 3  # N, V, NV; no _N or V_ and no trigram
         assert all("_" not in gram for gram in grams)
 
     def test_empty_stream(self):
-        assert pos_ngrams([], 1, 3) == Counter()
+        assert pos_ngrams([]) == Counter()
 
     @given(st.lists(st.sampled_from(["N", "V", "A", "REF#LINK"]), max_size=25))
     @settings(max_examples=200)
     def test_matches_reference(self, stream):
-        got = pos_ngrams(stream, 1, 3)
+        got = pos_ngrams(stream)
         want = pos_ngram_reference(stream, 1, 3)
         assert {(POS, gram): v for gram, v in got.items()} == want
 
@@ -140,7 +138,7 @@ class TestPosNgrams:
     @settings(max_examples=200)
     def test_window_count(self, stream):
         total = sum(max(0, len(stream) - n + 1) for n in (1, 2, 3))
-        assert sum(pos_ngrams(stream, 1, 3).values()) == total
+        assert sum(pos_ngrams(stream).values()) == total
 
 
 class TestScalingPolicy:
@@ -156,31 +154,26 @@ class TestScalingPolicy:
             default_policy("de")
 
     def test_log2_scaling_exact(self):
-        key = FeatureKey(POS, ("N",))
-        vocab = Vocabulary(keys=[key], min_df=1)
+        vocab = Vocabulary([], [("N",)], min_df=1)
         X = vectorize([(Counter(), Counter({("N",): 3})), (Counter(), Counter({("N",): 1}))],
                       vocab, ScalingPolicy(LINEAR, LOG2))
         assert row_entries(X, 0) == {0: 2.0}  # log2(1 + 3)
         assert row_entries(X, 1) == {0: 1.0}
 
     def test_linear_scaling_identity(self):
-        key = FeatureKey(CHAR, ("a",))
-        vocab = Vocabulary(keys=[key], min_df=1)
+        vocab = Vocabulary(["a"], [], min_df=1)
         X = vectorize([(Counter({"a": 7}), Counter())], vocab, ScalingPolicy(LINEAR, LINEAR))
         assert row_entries(X) == {0: 7.0}
 
     def test_channels_scaled_independently(self):
-        ck = FeatureKey(CHAR, ("a",))
-        pk = FeatureKey(POS, ("N",))
-        vocab = Vocabulary(keys=[ck, pk], min_df=1)
+        vocab = Vocabulary(["a"], [("N",)], min_df=1)
         X = vectorize([(Counter({"a": 3}), Counter({("N",): 3}))], vocab, ScalingPolicy(LINEAR, LOG2))
         assert row_entries(X) == {vocab.char_index["a"]: 3.0, vocab.pos_index[("N",)]: 2.0}
 
 
 class TestVectorize:
     def make_vocab(self):
-        keys = [FeatureKey(CHAR, ("a",)), FeatureKey(CHAR, ("b",)), FeatureKey(POS, ("N",))]
-        return Vocabulary(keys=sorted(keys), min_df=1)
+        return Vocabulary(["a", "b"], [("N",)], min_df=1)
 
     def test_dimension_is_vocab_size(self):
         vocab = self.make_vocab()
@@ -204,7 +197,7 @@ class TestVectorize:
         assert row_entries(X) == {}
 
     def test_empty_vocabulary_rejected(self):
-        vocab = Vocabulary(keys=[], min_df=1)
+        vocab = Vocabulary([], [], min_df=1)
         with pytest.raises(DataError):
             vectorize([(Counter(), Counter())], vocab, ScalingPolicy(LINEAR, LINEAR))
 
@@ -228,10 +221,8 @@ class TestVectorize:
         vocab = self.make_vocab()
         cols = list(vocab.char_index.values()) + list(vocab.pos_index.values())
         assert sorted(cols) == list(range(len(vocab)))
-        for gram, col in vocab.char_index.items():
-            assert vocab.keys.index(FeatureKey(CHAR, tuple(gram))) == col
-        for gram, col in vocab.pos_index.items():
-            assert vocab.keys.index(FeatureKey(POS, gram)) == col
+        assert list(vocab.char_index) == vocab.char_grams
+        assert list(vocab.pos_index) == vocab.pos_grams
 
 
 class TestSparseMatrix:
@@ -296,12 +287,11 @@ class TestBuildVocabulary:
             self.sample("bb", ["V"]),
         ]
         vocab = build_vocabulary(samples, min_df=2)
-        grams = {key.gram for key in vocab.keys}
         # "aa"-derived grams appear in one sample only, however many times
-        assert ("a", "a") not in grams
-        assert ("b", "b") in grams
-        assert ("N",) in grams
-        assert ("V",) not in grams
+        assert "aa" not in vocab.char_grams
+        assert "bb" in vocab.char_grams
+        assert ("N",) in vocab.pos_grams
+        assert ("V",) not in vocab.pos_grams
 
     def test_order_independence(self):
         rng = random.Random(5)
@@ -316,12 +306,15 @@ class TestBuildVocabulary:
             shuffled = samples[:]
             rng.shuffle(shuffled)
             vocab = build_vocabulary(shuffled, min_df=2)
-            assert vocab.keys == reference.keys
+            assert vocab == reference
             assert vocab.content_hash() == reference.content_hash()
 
     def test_keys_sorted_by_channel_then_gram(self):
         vocab = build_vocabulary([self.sample("ba", ["V", "N"])] * 2, min_df=2)
-        assert vocab.keys == sorted(vocab.keys)
+        assert vocab.char_grams == sorted(vocab.char_grams)
+        assert vocab.pos_grams == sorted(vocab.pos_grams)
+        columns = list(vocab.char_index.values()) + list(vocab.pos_index.values())
+        assert columns == list(range(len(vocab)))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(DataError):
@@ -334,21 +327,11 @@ class TestBuildVocabulary:
     def test_min_df_one_keeps_everything(self):
         counts = self.sample("xy", ["N"])
         vocab = build_vocabulary([counts], min_df=1)
-        assert set(vocab.keys) == ({FeatureKey(CHAR, tuple(gram)) for gram in counts[0]}
-                                   | {FeatureKey(POS, gram) for gram in counts[1]})
+        assert (set(vocab.char_grams), set(vocab.pos_grams)) == (set(counts[0]), set(counts[1]))
 
 
-NASTY_KEYS = [
-    FeatureKey(CHAR, ("\t",)),
-    FeatureKey(CHAR, ("\n", "a")),
-    FeatureKey(CHAR, ("\r",)),
-    FeatureKey(CHAR, ("\\", "n")),
-    FeatureKey(CHAR, ("␟",)),
-    FeatureKey(CHAR, ("a", "␟", "b")),
-    FeatureKey(POS, ("REF@USERNAME", "N")),
-    FeatureKey(POS, ("\\U",)),
-    FeatureKey(POS, ("a\\", "u241f")),
-]
+NASTY_CHAR_GRAMS = ["\t", "\na", "\r", "\\n", "␟", "a␟b"]
+NASTY_POS_GRAMS = [("REF@USERNAME", "N"), ("\\U",), ("a\\", "u241f")]
 
 
 class TestVocabularySerialization:
@@ -359,28 +342,26 @@ class TestVocabularySerialization:
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         loaded = Vocabulary.load(path)
-        assert loaded.keys == vocab.keys
-        assert loaded.min_df == vocab.min_df
+        assert loaded == vocab
         assert loaded.content_hash() == vocab.content_hash()
 
     def test_round_trip_hostile_units(self, tmp_path):
-        vocab = Vocabulary(keys=sorted(NASTY_KEYS), min_df=1)
+        vocab = Vocabulary(sorted(NASTY_CHAR_GRAMS), sorted(NASTY_POS_GRAMS), min_df=1)
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
-        loaded = Vocabulary.load(path)
-        assert loaded.keys == vocab.keys
+        assert Vocabulary.load(path) == vocab
 
     def test_round_trip_gzip(self, tmp_path):
-        vocab = Vocabulary(keys=[FeatureKey(CHAR, ("a",))], min_df=1)
+        vocab = Vocabulary(["a"], [], min_df=1)
         path = tmp_path / "vocab.tsv.gz"
         vocab.save(path)
-        assert Vocabulary.load(path).keys == vocab.keys
+        assert Vocabulary.load(path) == vocab
 
     def test_hash_tracks_content(self):
-        v1 = Vocabulary(keys=[FeatureKey(CHAR, ("a",))], min_df=1)
-        v2 = Vocabulary(keys=[FeatureKey(CHAR, ("b",))], min_df=1)
+        v1 = Vocabulary(["a"], [], min_df=1)
+        v2 = Vocabulary(["b"], [], min_df=1)
         assert v1.content_hash() != v2.content_hash()
-        assert v1.content_hash() == Vocabulary(keys=[FeatureKey(CHAR, ("a",))], min_df=2).content_hash()
+        assert v1.content_hash() == Vocabulary(["a"], [], min_df=2).content_hash()
 
     def test_wrong_format_line_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
@@ -397,13 +378,13 @@ class TestVocabularySerialization:
         with pytest.raises(DataError, match="out of order"):
             Vocabulary.load(path)
 
-    @pytest.mark.parametrize("keys", [
-        [FeatureKey(CHAR, ("a",)), FeatureKey(CHAR, ("a",))],
-        [FeatureKey(POS, ("N", "V")), FeatureKey(POS, ("N", "V"))],
+    @pytest.mark.parametrize("char_grams, pos_grams", [
+        (["a", "a"], []),
+        ([], [("N", "V"), ("N", "V")]),
     ], ids=["char", "pos"])
-    def test_repeated_key_rejected(self, keys):
+    def test_repeated_key_rejected(self, char_grams, pos_grams):
         with pytest.raises(DataError, match="repeated"):
-            Vocabulary(keys=keys, min_df=1)
+            Vocabulary(char_grams, pos_grams, min_df=1)
 
     def test_bad_escape_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
@@ -429,29 +410,19 @@ class TestVocabularySerialization:
                     f"bad escape sequence in vocabulary unit: {unit!r}")):
                 Vocabulary.load(path)
         else:
-            assert Vocabulary.load(path).keys == [FeatureKey(POS, (gram,))]
+            assert Vocabulary.load(path).pos_grams == [(gram,)]
 
     @given(
-        raw_keys=st.lists(
-            st.one_of(*(
-                st.tuples(
-                    st.just(channel),
-                    st.lists(st.text(alphabet="ab\\\t\n␟U", min_size=1, max_size=unit_size),
-                             min_size=1, max_size=3).map(tuple),
-                )
-                for channel, unit_size in ((CHAR, 1), (POS, 3))
-            )),
-            min_size=1,
-            max_size=8,
-        )
+        char_grams=st.sets(st.text(alphabet="ab\\\t\n␟U", min_size=1, max_size=3), max_size=8),
+        pos_grams=st.sets(st.lists(st.text(alphabet="ab\\\t\n␟U", min_size=1, max_size=3),
+                                   min_size=1, max_size=3).map(tuple), max_size=8),
     )
     @settings(max_examples=100)
-    def test_round_trip_fuzzed_units(self, raw_keys, tmp_path_factory):
-        keys = sorted({FeatureKey(c, g) for c, g in raw_keys})
-        vocab = Vocabulary(keys=keys, min_df=1)
+    def test_round_trip_fuzzed_units(self, char_grams, pos_grams, tmp_path_factory):
+        vocab = Vocabulary(sorted(char_grams), sorted(pos_grams), min_df=1)
         path = tmp_path_factory.mktemp("vocab") / "v.tsv"
         vocab.save(path)
-        assert Vocabulary.load(path).keys == keys
+        assert Vocabulary.load(path) == vocab
 
 
 corpus_docs = st.lists(
@@ -485,13 +456,13 @@ class TestPlainKeysMatchFeatureKeyReference:
 
         vocab = build_vocabulary(counts, min_df=min_df)
         ref_keys = featurekey_vocabulary_keys(ref_counts, min_df)
-        assert vocab.keys == ref_keys
-        reference = Vocabulary(keys=ref_keys, min_df=min_df)
-        assert vocab.content_hash() == reference.content_hash()
+        assert ([FeatureKey(CHAR, tuple(gram)) for gram in vocab.char_grams]
+                + [FeatureKey(POS, gram) for gram in vocab.pos_grams]) == ref_keys
+        ref_text, ref_hash = featurekey_vocabulary_file(ref_keys, min_df)
+        assert vocab.content_hash() == ref_hash
         folder = tmp_path_factory.mktemp("vocab")
         vocab.save(folder / "new.tsv")
-        reference.save(folder / "ref.tsv")
-        assert (folder / "new.tsv").read_bytes() == (folder / "ref.tsv").read_bytes()
+        assert (folder / "new.tsv").read_bytes() == ref_text.encode("utf-8")
         if not ref_keys:
             return
         loaded = Vocabulary.load(folder / "new.tsv")
@@ -513,9 +484,10 @@ class TestFlatVectorizeMatchesReference:
     and out-of-vocabulary grams dropped, empty and all-out-of-vocabulary
     rows kept."""
 
-    KEYS = sorted([FeatureKey(CHAR, ("a",)), FeatureKey(CHAR, ("_", "b")),
-                   FeatureKey(CHAR, ("a", "b", "_")), FeatureKey(POS, ("N",)),
-                   FeatureKey(POS, ("N", "V")), FeatureKey(POS, ("REF@USERNAME",))])
+    CHAR_GRAMS = ["_b", "a", "ab_"]
+    POS_GRAMS = [("N",), ("N", "V"), ("REF@USERNAME",)]
+    KEYS = ([FeatureKey(CHAR, tuple(gram)) for gram in CHAR_GRAMS]
+            + [FeatureKey(POS, gram) for gram in POS_GRAMS])
 
     @given(st.lists(st.tuples(
                st.dictionaries(st.sampled_from(["a", "_b", "ab_", "z", "zz_"]), gram_counts),
@@ -526,7 +498,7 @@ class TestFlatVectorizeMatchesReference:
     @settings(max_examples=300)
     def test_rows(self, samples, char_scale, pos_scale):
         samples.append(({"z": 3, "zz_": 1}, {("V",): 2}))  # every gram out of vocabulary
-        vocab = Vocabulary(keys=self.KEYS, min_df=1)
+        vocab = Vocabulary(self.CHAR_GRAMS, self.POS_GRAMS, min_df=1)
         policy = ScalingPolicy(char_scale, pos_scale)
         X = vectorize([(Counter(c), Counter(p)) for c, p in samples], vocab, policy)
         assert len(X) == len(samples) and X.dimension == len(self.KEYS)
@@ -538,14 +510,14 @@ class TestFlatVectorizeMatchesReference:
             assert list(zip(cols.tolist(), values.tolist())) == sorted(want.items())
 
     def test_log2_entries_are_math_log2(self):
-        vocab = Vocabulary(keys=self.KEYS, min_df=1)
+        vocab = Vocabulary(self.CHAR_GRAMS, self.POS_GRAMS, min_df=1)
         counts = [1, 2, 3, 7, 1000, 123457, 2**40 + 1]
         X = vectorize([(Counter({"a": n}), Counter({("N",): n})) for n in counts],
                       vocab, ScalingPolicy(LOG2, LOG2))
         assert X.entries.tolist() == [math.log2(1.0 + n) for n in counts for _ in range(2)]
 
     def test_no_samples(self):
-        vocab = Vocabulary(keys=self.KEYS, min_df=1)
+        vocab = Vocabulary(self.CHAR_GRAMS, self.POS_GRAMS, min_df=1)
         X = vectorize([], vocab, ScalingPolicy(LOG2, LOG2))
         assert len(X) == 0 and X.indptr.tolist() == [0] and X.entries.size == 0
         assert X.dimension == len(self.KEYS)
@@ -556,20 +528,66 @@ class TestContentHashGolden:
     escapes were done one character at a time: the table-driven escape
     writes the same bytes."""
 
-    @pytest.mark.parametrize("keys, digest", [
-        ([FeatureKey(CHAR, ("\\",))],
+    @pytest.mark.parametrize("char_grams, pos_grams, digest", [
+        (["\\"], [],
          "a2e65b2584ca7f1e2886b9bb909dc03f63f7b4376a650ae8aa6ba88140d4e93d"),
-        ([FeatureKey(CHAR, ("\t", "\n", "\r"))],
+        (["\t\n\r"], [],
          "2202057f81ec27a90dfbf88e213711522f165327c8dd01d3e4d620a118f26b62"),
-        ([FeatureKey(CHAR, ("␟",)), FeatureKey(POS, ("N␟", "V"))],
+        (["␟"], [("N␟", "V")],
          "116f167d082db26204ed3dd70b344a7fd91c2c0c698c8d2e872e668f70bda915"),
-        ([FeatureKey(POS, ("a\\b", "N")), FeatureKey(POS, ("U␟\\n", "\t\r\n"))],
+        ([], [("a\\b", "N"), ("U␟\\n", "\t\r\n")],
          "3823e98d9baa7246fa20efbe128c85b0898b36480a0fde7219ba29bec9f93a8b"),
-        ([FeatureKey(CHAR, ("_", "a")), FeatureKey(POS, ("N", "V", "REF@USERNAME"))],
+        (["_a"], [("N", "V", "REF@USERNAME")],
          "db731b98d5119a4d258d24d518dbd46048bfed4b3944eb362262b18f75b47403"),
     ], ids=["backslash", "tab-newline-return", "unit-separator", "pos-mixed", "plain"])
-    def test_digest(self, keys, digest, tmp_path):
-        vocab = Vocabulary(keys=sorted(keys), min_df=1)
+    def test_digest(self, char_grams, pos_grams, digest, tmp_path):
+        vocab = Vocabulary(sorted(char_grams), sorted(pos_grams), min_df=1)
         assert vocab.content_hash() == digest
         vocab.save(tmp_path / "v.tsv")
         assert Vocabulary.load(tmp_path / "v.tsv").content_hash() == digest
+
+
+class TestRealisticVocabularyGolden:
+    """A vocabulary built the way a run builds one, from a seeded synthetic
+    corpus through `prepare_corpus`, `sample_counts` and `build_vocabulary`:
+    its hash and its file bytes are fixed."""
+
+    def test_hash_and_file(self, tmp_path):
+        save_flat_csv(marker_corpus(n_docs=120, seed=11, marker_rate=0.5), str(tmp_path / "c.csv"))
+        spec = CorpusSpec("FlatCsv", str(tmp_path / "c.csv"), "es", grouping_k=3)
+        prepared = prepare_corpus(spec, default_rules("es"), {}, [])
+        vocab = build_vocabulary([sample_counts(s) for s in as_samples(prepared)], min_df=2)
+        assert (len(vocab.char_index), len(vocab.pos_index)) == (258, 10)
+        assert vocab.content_hash() == "d7482f47b8269534dc1337f1e64b2703cdda85cf355930e089eb5fd11583a015"
+        vocab.save(tmp_path / "v.tsv")
+        digest = hashlib.sha256((tmp_path / "v.tsv").read_bytes()).hexdigest()
+        assert digest == "b370e43f73f038f1cd23e7829fef427709a14d6fa7d40cf3d4c5f83fb431ad5e"
+
+
+def strictly_ascending(grams) -> bool:
+    return all(a < b for a, b in zip(grams, grams[1:]))
+
+
+class TestVocabularyOrder:
+    """A vocabulary constructs exactly when each gram list strictly
+    ascends, and every one that constructs saves and loads back equal."""
+
+    @given(char_grams=st.lists(st.text(alphabet="ab_\\␟\t", min_size=1, max_size=3), max_size=6),
+           pos_grams=st.lists(st.lists(st.sampled_from(["N", "V", "a\\␟"]), min_size=1,
+                                       max_size=3).map(tuple), max_size=6),
+           tidy=st.booleans())
+    @settings(max_examples=200)
+    def test_constructs_only_when_ascending(self, char_grams, pos_grams, tidy, tmp_path_factory):
+        if tidy:
+            char_grams, pos_grams = sorted(set(char_grams)), sorted(set(pos_grams))
+        if not (strictly_ascending(char_grams) and strictly_ascending(pos_grams)):
+            with pytest.raises(DataError, match="repeated vocabulary key|out of order"):
+                Vocabulary(char_grams, pos_grams, min_df=1)
+            return
+        vocab = Vocabulary(char_grams, pos_grams, min_df=2)
+        path = tmp_path_factory.mktemp("vocab") / "v.tsv"
+        vocab.save(path)
+        loaded = Vocabulary.load(path)
+        assert loaded == vocab
+        assert loaded.content_hash() == vocab.content_hash()
+        assert len(loaded) == len(char_grams) + len(pos_grams)

@@ -32,8 +32,7 @@ from styloprof.cli import _read_label_rows, _read_trait_rows
 from styloprof.corpus import TRAIT_NAMES, CorpusSpec, load_flat_csv, load_pan_truth_dir
 from styloprof.errors import ConfigError, DataError, StyloprofError
 from styloprof.experiment import extract_config, parse_config_text, render_result, run_experiment
-from styloprof.features import (CHAR, POS, FeatureKey, ScalingPolicy, SparseMatrix,
-                                Vocabulary)
+from styloprof.features import ScalingPolicy, SparseMatrix, Vocabulary
 from styloprof.learner import (ModelBundle, TrainConfig, load_model, save_model, train_binary,
                                train_ovr, train_traits)
 from styloprof.normalize import load_rules
@@ -126,9 +125,7 @@ def assert_same_bundle(a: ModelBundle, b: ModelBundle) -> None:
 def saved(tmp_path_factory):
     """Lines of a saved vocabulary and of one saved model per kind."""
     folder = tmp_path_factory.mktemp("saved")
-    vocab = Vocabulary(keys=[FeatureKey(CHAR, ("\\",)), FeatureKey(CHAR, ("_", "a")),
-                             FeatureKey(CHAR, ("b", "␟", "_")), FeatureKey(POS, ("N",)),
-                             FeatureKey(POS, ("REF@USERNAME", "V"))], min_df=2)
+    vocab = Vocabulary(["\\", "_a", "b␟_"], [("N",), ("REF@USERNAME", "V")], min_df=2)
     vocab.save(folder / "v.tsv")
     X = SparseMatrix.from_rows([{0: 1.0, 3: 2.0}, {1: 1.5}, {2: -1.0, 4: 0.5}, {0: 3.0, 4: 1.0},
                                 {}, {1: 0.25, 2: 2.0}], len(vocab))
@@ -164,7 +161,7 @@ def test_mutated_vocabulary(saved, ops):
         return
     vocab.save(folder / "again.tsv")
     again = Vocabulary.load(folder / "again.tsv")
-    assert (again.keys, again.min_df) == (vocab.keys, vocab.min_df)
+    assert again == vocab
     assert again.content_hash() == vocab.content_hash()
 
 
