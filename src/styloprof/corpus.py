@@ -7,7 +7,8 @@ Two on-disk layouts are supported, both optionally gzip-compressed
   ``authorid:::gender:::ageband[:::E:::N:::A:::C:::O]`` next to one text
   file per author holding one document per line;
 * a flat delimited file with header ``id,gender,text`` and RFC-4180
-  quoting.
+  quoting, read strictly: a quote left open or a stray quote is a data
+  error, not text that runs on into the next rows.
 
 A truth directory's files, like every other line-oriented file of the
 package (rules, lexicon, POS sidecars, vocabulary, model, predictions,
@@ -32,7 +33,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataError
 
@@ -88,6 +89,17 @@ def write_lines(path, lines: Iterable[str]) -> None:
     with open_text(path, "wt", newline="") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def key_values(fields: Sequence[str], keys: Sequence[str]) -> list[str]:
+    """The values of `key=value` header fields that name exactly `keys`,
+    each once and in that order, as the file writers write them; a
+    DataError otherwise."""
+    pairs = [field.partition("=") for field in fields]
+    if [key + sep for key, sep, _ in pairs] != [key + "=" for key in keys]:
+        raise DataError(f"expected the fields {' '.join(key + '=' for key in keys)} in that order, "
+                        f"got {' '.join(fields)!r}")
+    return [value for _, _, value in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +309,27 @@ def save_pan_truth_dir(samples: list[Sample], dirpath: str) -> None:
     write_lines(os.path.join(dirpath, "truth.txt"), truth_lines)
 
 
+def _csv_rows(reader, path):
+    """(row number, fields) for each record of a strict csv reader, the
+    header being row 1.  What the csv module rejects (a quote left open at
+    the end of the file, a stray quote, a field past its size limit)
+    raises a DataError naming the file and the row."""
+    rownum = 0
+    try:
+        for rownum, row in enumerate(reader, start=1):
+            yield rownum, row
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {rownum + 1}: malformed CSV: {exc}") from None
+
+
 def load_flat_csv(spec: CorpusSpec) -> list[LabeledDocument]:
     """One labeled Document per data row, row order preserved."""
     if spec.format != "FlatCsv":
         raise ConfigError(f"load_flat_csv called with format {spec.format!r}")
     docs = []
     with open_text(spec.path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=spec.delimiter)
-        header = next(reader, None)
+        rows = _csv_rows(csv.reader(fh, delimiter=spec.delimiter, strict=True), spec.path)
+        _, header = next(rows, (1, None))
         if header is None:
             raise DataError(f"{spec.path}: empty file, expected an id,gender,text header")
         columns = {}
@@ -313,7 +338,7 @@ def load_flat_csv(spec: CorpusSpec) -> list[LabeledDocument]:
                 raise DataError(f"{spec.path}: missing required column {required!r}")
             columns[required] = header.index(required)
         width = max(columns.values()) + 1
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in rows:
             if len(row) < width:
                 raise DataError(f"{spec.path}: row {rownum}: expected at least {width} fields, got {len(row)}")
             gender_cell = row[columns["gender"]].strip()

@@ -35,7 +35,7 @@ from .corpus import (CorpusSpec, Document, LabeledDocument, Sample, author_path,
 from .errors import ConfigError, DataError
 from .features import (CHAR, LINEAR, LOG2, POS, FeatureKey, ScalingPolicy, Vocabulary,
                        build_vocabulary, char_ngrams, default_policy, pos_ngrams, vectorize)
-from .learner import ModelBundle, TrainConfig, predict, train_binary, train_ovr, train_traits
+from .learner import ModelBundle, TrainConfig, _heads, predict, train_binary, train_ovr, train_traits
 from .metrics import (ClassReport, TraitReport, confusion, render_report,
                       render_trait_report, report, trait_rmse_report)
 from .normalize import default_rules, load_rules, normalize
@@ -429,13 +429,11 @@ def _train_task(task: str, X, train_samples: list[Sample], tc: TrainConfig,
             raise DataError(f"gender task needs exactly two classes in training data, got {classes}")
         y = [1 if lab == classes[0] else -1 for lab in labels]
         model = train_binary(X, y, tc, label_positive=classes[0], label_negative=classes[1])
-        converged = [model.converged]
     elif kind == "ovr":
         model = train_ovr(X, labels, tc)
-        converged = [m.converged for m in model.models]
     else:
         model = train_traits(X, labels, tc)
-        converged = list(model.converged.values())
+    converged = [head.converged for head in _heads(model)[2]]
     capped = converged.count(False)
     if capped:
         warnings.append(f"{capped} of {len(converged)} submodels stopped at the epoch cap "
@@ -499,9 +497,7 @@ def run_single(task: str, train_samples: list[Sample], test_samples: list[Sample
 
     pred = [label for _, label, _ in outcome.predictions]
     if report_classes is None:
-        model = bundle.model
-        model_classes = [model.label_positive, model.label_negative] if task == "gender" else model.classes
-        report_classes = _first_appearance(list(model_classes) + truth)
+        report_classes = _first_appearance(_heads(bundle.model)[1] + truth)
     outcome.class_report = report(confusion(truth, pred, report_classes))
     return outcome
 

@@ -29,11 +29,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .corpus import LANGUAGES, read_lines, write_lines
+from .corpus import LANGUAGES, key_values, read_lines, write_lines
 from .errors import ConfigError, DataError
 
 CHAR = "char"
@@ -141,16 +141,6 @@ class SparseMatrix:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(indptr, columns[order], np.asarray(values, dtype=np.float64)[order], dimension)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Mapping[int, float]], dimension: int) -> "SparseMatrix":
-        """One row per column -> value mapping."""
-        rows = list(rows)
-        lengths = list(map(len, rows))
-        return cls.from_entries(np.repeat(np.arange(len(rows)), lengths),
-                                [col for row in rows for col in row],
-                                [value for row in rows for value in row.values()],
-                                len(rows), dimension)
-
     def __len__(self) -> int:
         return self.indptr.size - 1
 
@@ -215,11 +205,12 @@ class Vocabulary:
         if header[0] != "styloprof-vocab-v1":
             raise DataError(f"{path}: not a styloprof-vocab-v1 file")
         try:
-            fields = dict(p.split("=", 1) for p in header[1:])
-            declared = {channel: int(fields[channel]) for channel in (CHAR, POS)}
-            min_df = int(fields["min_df"])
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"{path}: bad vocabulary header") from exc
+            n_char, n_pos, min_df = map(int, key_values(header[1:], (CHAR, POS, "min_df")))
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{path}: bad vocabulary header: {exc}") from None
+        if min_df < 1:
+            raise DataError(f"{path}: bad vocabulary header: min_df must be >= 1, got {min_df}")
+        declared = {CHAR: n_char, POS: n_pos}
         grams = {CHAR: [], POS: []}
         previous = ("", "")
         for lineno, line in enumerate(lines[1:], start=2):

@@ -35,12 +35,23 @@ values reported here include the bias in the regularizer.  Training is
 deterministic for a fixed seed: the seed drives the per-epoch coordinate
 permutations and nothing else.
 
+Every model is k linear heads, as LIBLINEAR stores its models (Fan et
+al., JMLR 2008): one (bias, weights) pair per head, one head for a
+binary model's two labels, one per class for one-vs-rest and one per
+trait for regression.  `_heads` gives that layout, and `_model`, the one
+constructor behind the trainers and `load_model`, builds a model from
+it; the training config is kept once, in `ModelBundle.config`.  A model
+file holds the header lines (kind, `vocab_hash`, `policy`, `config`,
+`dim`), the labels line (`labels`, `classes` or `traits`), then a
+`bias` and a `weights` line per head.
+
 Every family trains on and predicts from one `SparseMatrix`, the
 compressed sparse rows `features.vectorize` builds.  `margins` computes
 X W' + b for a stack of weight vectors; it gives both the row form's
-per-epoch primal objective and the predictions, which `predict` decodes per model
-kind: the sign for a binary model, the first argmax for one-vs-rest and
-a clamp to the trait range for the regressors.
+per-epoch primal objective and the predictions, one product over a
+model's heads that `predict` decodes per model kind: the sign for a
+binary model, the first argmax for one-vs-rest and a clamp to the trait
+range for the regressors.
 """
 
 from __future__ import annotations
@@ -48,11 +59,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import TRAIT_NAMES, TRAIT_MAX, TRAIT_MIN, read_lines, write_lines
+from .corpus import TRAIT_NAMES, TRAIT_MAX, TRAIT_MIN, key_values, read_lines, write_lines
 from .errors import DataError
 from .features import LINEAR, LOG2, ScalingPolicy, SparseMatrix
 
@@ -86,7 +97,6 @@ class TrainConfig:
 class LinearModel:
     weights: np.ndarray
     bias: float
-    c_param: float
     label_positive: object
     label_negative: object
     epoch_objectives: list[float] = field(default_factory=list, repr=False)
@@ -108,10 +118,54 @@ class OneVsRestModel:
 class TraitRegressor:
     weights: dict[str, np.ndarray]
     biases: dict[str, float]
-    epsilon: float
-    c_param: float
     epoch_objectives: dict[str, list[float]] = field(default_factory=dict, repr=False)
-    converged: dict[str, bool] = field(default_factory=dict, repr=False)
+    converged: dict[str, bool | None] = field(default_factory=dict, repr=False)
+
+
+class _Head(NamedTuple):
+    """One linear head, as `_solve` returns it: the weights and the bias,
+    with the primal objective after every epoch and whether the last epoch
+    met the tolerance (empty and None for a head read from a file)."""
+    weights: np.ndarray
+    bias: float
+    objectives: Sequence[float] = ()
+    converged: bool | None = None
+
+
+def _heads(model) -> tuple[str, list, list[_Head]]:
+    """Every model as k linear heads: the tag of its labels line, its
+    labels and its heads in file order.  A binary model has one head for
+    its positive and negative label, a one-vs-rest model one per class
+    and a trait regressor one per trait.  `_model` is the inverse."""
+    if isinstance(model, TraitRegressor):
+        return "traits", list(TRAIT_NAMES), [
+            _Head(model.weights[name], model.biases[name], model.epoch_objectives.get(name, ()),
+                  model.converged.get(name)) for name in TRAIT_NAMES]
+    if isinstance(model, OneVsRestModel):
+        return "classes", model.classes, [_heads(sub)[2][0] for sub in model.models]
+    return "labels", [model.label_positive, model.label_negative], [
+        _Head(model.weights, model.bias, model.epoch_objectives, model.converged)]
+
+
+def _model(tag: str, labels: Sequence, heads: Sequence[_Head]):
+    """The one constructor behind the trainers and `load_model`: the model
+    whose labels line has `tag` and `labels`, with `heads` in file order."""
+    if tag == "labels":
+        (head,) = heads
+        positive, negative = labels
+        return LinearModel(weights=head.weights, bias=head.bias, label_positive=positive,
+                           label_negative=negative, epoch_objectives=list(head.objectives),
+                           converged=head.converged)
+    if tag == "classes":
+        return OneVsRestModel(classes=list(labels), models=[
+            _model("labels", (cls, REST_LABEL), [head]) for cls, head in zip(labels, heads)])
+    if tuple(labels) != TRAIT_NAMES:
+        raise DataError(f"unexpected trait list {tuple(labels)}")
+    named = dict(zip(labels, heads))
+    return TraitRegressor(weights={name: head.weights for name, head in named.items()},
+                          biases={name: head.bias for name, head in named.items()},
+                          epoch_objectives={name: list(head.objectives) for name, head in named.items()},
+                          converged={name: head.converged for name, head in named.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +305,8 @@ def _solve(form, t, lo, hi, eps, cfg: TrainConfig):
     """Dual coordinate descent (module docstring) with Q_ij = x_i . x_j + 1
     and w = sum_i b_i x_i, on either form.  Stops once a full sweep finds
     no projected-gradient violation reaching the tolerance, or at the
-    epoch cap.  Returns the weights, the bias, the primal objective after
-    every sweep and whether the last sweep met the tolerance."""
+    epoch cap.  Returns a `_Head`: the weights, the bias, the primal
+    objective after every sweep and whether the last sweep met the tolerance."""
     arrays = [np.asarray(v, dtype=np.float64) for v in (t, lo, hi)]
     qii, margin, step = form.qii, form.margin, form.step
     form.start()
@@ -295,23 +349,18 @@ def _solve(form, t, lo, hi, eps, cfg: TrainConfig):
         objectives.append(_primal(*form.sweep(beta), *arrays, eps))
         if worst < cfg.tolerance:
             break
-    weights, bias = form.weights(beta)
-    return weights, bias, objectives, bool(worst < cfg.tolerance)
+    return _Head(*form.weights(beta), objectives, bool(worst < cfg.tolerance))
 
 
 # ---------------------------------------------------------------------------
 # public training and prediction
 
-def _fit_hinge(form, signs: list[int], cfg: TrainConfig,
-               label_positive, label_negative) -> LinearModel:
+def _fit_hinge(form, signs: list[int], cfg: TrainConfig) -> _Head:
     """L1-hinge SVM: t = y, eps = 0 and the box b = y alpha, alpha in [0, C]."""
     c = cfg.c_param
     lo = [0.0 if s > 0 else -c for s in signs]
     hi = [c if s > 0 else 0.0 for s in signs]
-    weights, bias, objectives, converged = _solve(form, signs, lo, hi, 0.0, cfg)
-    return LinearModel(weights=weights, bias=bias, c_param=c,
-                       label_positive=label_positive, label_negative=label_negative,
-                       epoch_objectives=objectives, converged=converged)
+    return _solve(form, signs, lo, hi, 0.0, cfg)
 
 
 def train_binary(X: SparseMatrix, y: Sequence[int], cfg: TrainConfig,
@@ -325,48 +374,32 @@ def train_binary(X: SparseMatrix, y: Sequence[int], cfg: TrainConfig,
     signs = [int(label) for label in y]
     if len(set(signs)) < 2:
         raise DataError("training data contains a single class; both classes are required")
-    return _fit_hinge(_prepare(X, cfg.epochs), signs, cfg, label_positive, label_negative)
+    return _model("labels", (label_positive, label_negative),
+                  [_fit_hinge(_prepare(X, cfg.epochs), signs, cfg)])
 
 
-def train_ovr(X: SparseMatrix, y: Sequence, cfg: TrainConfig,
-              classes: Sequence | None = None) -> OneVsRestModel:
+def train_ovr(X: SparseMatrix, y: Sequence, cfg: TrainConfig) -> OneVsRestModel:
     """One binary model per class (that class against the rest); class
     order is first appearance in the training labels."""
     if len(X) != len(y):
         raise DataError(f"{len(X)} rows but {len(y)} labels")
-    seen = list(dict.fromkeys(y))
-    if classes is None:
-        classes = seen
-    else:
-        classes = list(classes)
-        missing = [c for c in classes if c not in seen]
-        if missing:
-            raise DataError(f"classes absent from training data: {missing}")
-        unknown = [c for c in seen if c not in classes]
-        if unknown:
-            raise DataError(f"training labels outside the declared classes: {unknown}")
+    classes = list(dict.fromkeys(y))
     if len(classes) < 2:
         raise DataError("one-vs-rest training needs at least two distinct classes")
     form = _prepare(X, cfg.epochs)
-    models = [_fit_hinge(form, [1 if label == cls else -1 for label in y], cfg,
-                         cls, REST_LABEL)
-              for cls in classes]
-    return OneVsRestModel(classes=classes, models=models)
+    return _model("classes", classes, [_fit_hinge(form, [1 if label == cls else -1 for label in y], cfg)
+                                       for cls in classes])
 
 
-def _target_rows(targets) -> list[dict[str, float]]:
+def _target_rows(targets: Sequence[Mapping]) -> list[dict[str, float]]:
     rows = []
     for row in targets:
-        if isinstance(row, Mapping):
-            values = {name: float(row[name]) for name in TRAIT_NAMES if name in row}
-            if len(values) != len(TRAIT_NAMES):
-                missing = [n for n in TRAIT_NAMES if n not in row]
-                raise DataError(f"trait targets missing {missing}")
-        else:
-            seq = list(row)
-            if len(seq) != len(TRAIT_NAMES):
-                raise DataError(f"expected {len(TRAIT_NAMES)} trait values, got {len(seq)}")
-            values = {name: float(v) for name, v in zip(TRAIT_NAMES, seq)}
+        if not isinstance(row, Mapping):
+            raise DataError(f"trait targets must map trait names to values, got {type(row).__name__}")
+        missing = [name for name in TRAIT_NAMES if name not in row]
+        if missing:
+            raise DataError(f"trait targets missing {missing}")
+        values = {name: float(row[name]) for name in TRAIT_NAMES}
         for name, value in values.items():
             if not (TRAIT_MIN <= value <= TRAIT_MAX):
                 raise DataError(f"trait {name} target {value} outside [{TRAIT_MIN}, {TRAIT_MAX}]")
@@ -374,20 +407,15 @@ def _target_rows(targets) -> list[dict[str, float]]:
     return rows
 
 
-def train_traits(X: SparseMatrix, targets, cfg: TrainConfig) -> TraitRegressor:
+def train_traits(X: SparseMatrix, targets: Sequence[Mapping], cfg: TrainConfig) -> TraitRegressor:
     """Five independent epsilon-insensitive regressions, one per trait."""
     rows = _target_rows(targets)
     if len(X) != len(rows):
         raise DataError(f"{len(X)} rows but {len(rows)} target rows")
     form = _prepare(X, cfg.epochs)
     lo, hi = [-cfg.c_param] * len(rows), [cfg.c_param] * len(rows)
-    weights, biases, histories, converged = {}, {}, {}, {}
-    for name in TRAIT_NAMES:
-        t = [row[name] for row in rows]
-        weights[name], biases[name], histories[name], converged[name] = _solve(
-            form, t, lo, hi, cfg.epsilon, cfg)
-    return TraitRegressor(weights=weights, biases=biases, epsilon=cfg.epsilon,
-                          c_param=cfg.c_param, epoch_objectives=histories, converged=converged)
+    return _model("traits", TRAIT_NAMES, [_solve(form, [row[name] for row in rows], lo, hi,
+                                                 cfg.epsilon, cfg) for name in TRAIT_NAMES])
 
 
 def predict(model, X: SparseMatrix) -> list:
@@ -396,18 +424,17 @@ def predict(model, X: SparseMatrix) -> list:
     class; (class, margin) of the first class with the largest margin for
     one-vs-rest; a trait -> value dict, each clamped to the trait range,
     for a regressor.  Margins and values are Python floats."""
-    if isinstance(model, TraitRegressor):
-        values = margins(X, np.stack([model.weights[name] for name in TRAIT_NAMES]),
-                         [model.biases[name] for name in TRAIT_NAMES])
-        return [dict(zip(TRAIT_NAMES, row))
-                for row in np.clip(values, TRAIT_MIN, TRAIT_MAX).tolist()]
-    if isinstance(model, OneVsRestModel):
-        values = margins(X, np.stack([m.weights for m in model.models]),
-                         [m.bias for m in model.models])
-        return [(model.classes[best], top)
+    tag, labels, heads = _heads(model)
+    # np.stack would copy a binary model's one weight vector on every call
+    weights = heads[0].weights if len(heads) == 1 else np.stack([head.weights for head in heads])
+    values = margins(X, weights, [head.bias for head in heads])
+    if tag == "traits":
+        return [dict(zip(labels, row)) for row in np.clip(values, TRAIT_MIN, TRAIT_MAX).tolist()]
+    if tag == "classes":
+        return [(labels[best], top)
                 for best, top in zip(values.argmax(axis=1).tolist(), values.max(axis=1).tolist())]
-    values = margins(X, model.weights, [model.bias])[:, 0].tolist()
-    return [(model.label_positive if v >= 0.0 else model.label_negative, v) for v in values]
+    positive, negative = labels
+    return [(positive if v >= 0.0 else negative, v) for v in values[:, 0].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +447,12 @@ class ModelBundle:
     policy: ScalingPolicy
     config: TrainConfig
     model: object
+
+
+# model kind -> the tag of its labels line in a model file
+_LABELS_TAG = {"binary": "labels", "ovr": "classes", "traits": "traits"}
+# the config line's keys, in the order save_model writes them
+_CONFIG_KEYS = ("c_param", "epochs", "tolerance", "seed", "epsilon")
 
 
 def _encode_label(label) -> str:
@@ -472,8 +505,13 @@ def _parse_finite(token: str, what: str) -> float:
 
 
 def save_model(bundle: ModelBundle, path) -> None:
-    if bundle.kind not in ("binary", "ovr", "traits"):
+    """The header, the training config, `dim`, the labels line, then a
+    `bias` and a `weights` line per head (`_heads`)."""
+    if bundle.kind not in _LABELS_TAG:
         raise DataError(f"unknown model kind {bundle.kind!r}")
+    tag, labels, heads = _heads(bundle.model)
+    if tag != _LABELS_TAG[bundle.kind]:
+        raise DataError(f"a {bundle.kind!r} bundle cannot hold a {type(bundle.model).__name__}")
     cfg = bundle.config
     lines = [
         f"{MODEL_FORMAT}\t{bundle.kind}",
@@ -481,27 +519,12 @@ def save_model(bundle: ModelBundle, path) -> None:
         f"policy\t{bundle.policy.char_scale}\t{bundle.policy.pos_scale}",
         (f"config\tc_param={cfg.c_param!r}\tepochs={cfg.epochs}"
          f"\ttolerance={cfg.tolerance!r}\tseed={cfg.seed}\tepsilon={cfg.epsilon!r}"),
+        f"dim\t{heads[0].weights.shape[0]}",
+        "\t".join([tag, *(labels if tag == "traits" else map(_encode_label, labels))]),
     ]
-    if bundle.kind == "binary":
-        model = bundle.model
-        lines.append(f"dim\t{model.weights.shape[0]}")
-        lines.append(f"labels\t{_encode_label(model.label_positive)}\t{_encode_label(model.label_negative)}")
-        lines.append(f"bias\t{model.bias!r}")
-        lines.append(f"weights\t{_format_weights(model.weights)}")
-    elif bundle.kind == "ovr":
-        model = bundle.model
-        lines.append(f"dim\t{model.models[0].weights.shape[0]}")
-        lines.append("classes\t" + "\t".join(_encode_label(c) for c in model.classes))
-        for sub in model.models:
-            lines.append(f"bias\t{sub.bias!r}")
-            lines.append(f"weights\t{_format_weights(sub.weights)}")
-    else:
-        model = bundle.model
-        lines.append(f"dim\t{model.weights[TRAIT_NAMES[0]].shape[0]}")
-        lines.append("traits\t" + "\t".join(TRAIT_NAMES))
-        for name in TRAIT_NAMES:
-            lines.append(f"bias\t{model.biases[name]!r}")
-            lines.append(f"weights\t{_format_weights(model.weights[name])}")
+    for head in heads:
+        lines.append(f"bias\t{head.bias!r}")
+        lines.append(f"weights\t{_format_weights(head.weights)}")
     write_lines(path, lines)
 
 
@@ -531,7 +554,7 @@ def load_model(path, expected_vocab_hash: str | None = None) -> ModelBundle:
     head = lines[0].split("\t")
     if head[0] != MODEL_FORMAT:
         raise DataError(f"{path}: unsupported model format {head[0]!r}, expected {MODEL_FORMAT}")
-    if len(head) != 2 or head[1] not in ("binary", "ovr", "traits"):
+    if len(head) != 2 or head[1] not in _LABELS_TAG:
         raise DataError(f"{path}: malformed model header")
     kind = head[1]
     reader = _LineReader(lines, path)
@@ -542,13 +565,13 @@ def load_model(path, expected_vocab_hash: str | None = None) -> ModelBundle:
     if char_scale not in (LINEAR, LOG2) or pos_scale not in (LINEAR, LOG2):
         raise DataError(f"{path}: unknown scaling in policy line")
     policy = ScalingPolicy(char_scale, pos_scale)
+    cfg_fields = reader.take("config")
     try:
-        cfg_fields = dict(part.split("=", 1) for part in reader.take("config"))
-        cfg = TrainConfig(c_param=float(cfg_fields["c_param"]), epochs=int(cfg_fields["epochs"]),
-                          tolerance=float(cfg_fields["tolerance"]), seed=int(cfg_fields["seed"]),
-                          epsilon=float(cfg_fields["epsilon"]))
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: malformed config line") from exc
+        c_param, epochs, tolerance, seed, epsilon = key_values(cfg_fields, _CONFIG_KEYS)
+        cfg = TrainConfig(c_param=float(c_param), epochs=int(epochs), tolerance=float(tolerance),
+                          seed=int(seed), epsilon=float(epsilon))
+    except (DataError, ValueError) as exc:
+        raise DataError(f"{path}: malformed config line: {exc}") from None
     (dim_token,) = reader.take("dim", 1)
     try:
         dim = int(dim_token)
@@ -557,39 +580,24 @@ def load_model(path, expected_vocab_hash: str | None = None) -> ModelBundle:
     if dim < 1:
         raise DataError(f"{path}: dimension must be >= 1, got {dim}")
 
-    def read_vector():
+    def read_head() -> _Head:
         (bias_token,) = reader.take("bias", 1)
         (text,) = reader.take("weights", 1)
         try:
-            return _parse_finite(bias_token, "bias"), _parse_weights(text, dim)
+            bias = _parse_finite(bias_token, "bias")
+            return _Head(_parse_weights(text, dim), bias)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
 
-    if kind == "binary":
-        pos_token, neg_token = reader.take("labels", 2)
-        bias, weights = read_vector()
-        model = LinearModel(weights=weights, bias=bias, c_param=cfg.c_param,
-                            label_positive=_decode_label(pos_token),
-                            label_negative=_decode_label(neg_token))
-    elif kind == "ovr":
-        classes = [_decode_label(tok) for tok in reader.take("classes")]
-        submodels = []
-        for cls in classes:
-            bias, weights = read_vector()
-            submodels.append(LinearModel(weights=weights, bias=bias, c_param=cfg.c_param,
-                                         label_positive=cls, label_negative=REST_LABEL))
-        model = OneVsRestModel(classes=classes, models=submodels)
-    else:
-        names = tuple(reader.take("traits"))
-        if names != TRAIT_NAMES:
-            raise DataError(f"{path}: unexpected trait list {names}")
-        weights, biases = {}, {}
-        for name in TRAIT_NAMES:
-            bias, vector = read_vector()
-            biases[name] = bias
-            weights[name] = vector
-        model = TraitRegressor(weights=weights, biases=biases,
-                               epsilon=cfg.epsilon, c_param=cfg.c_param)
+    tag = _LABELS_TAG[kind]
+    # a binary model's positive and negative label share its one head
+    tokens = reader.take(tag, 2 if tag == "labels" else None)
+    labels = tokens if tag == "traits" else [_decode_label(token) for token in tokens]
+    heads = [read_head() for _ in range(1 if tag == "labels" else len(labels))]
+    try:
+        model = _model(tag, labels, heads)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if reader.pos != len(lines):
         raise DataError(f"{path}: trailing content after model body")
     bundle = ModelBundle(kind=kind, vocab_hash=vocab_hash, policy=policy, config=cfg, model=model)

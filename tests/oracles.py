@@ -22,7 +22,7 @@ import numpy as np
 from styloprof.corpus import (Document, LabeledDocument, Sample, author_path, group_into_samples,
                               load_flat_csv, load_pan_truth_dir, truth_path)
 from styloprof.errors import DataError
-from styloprof.features import LINEAR, FeatureKey
+from styloprof.features import LINEAR, FeatureKey, SparseMatrix
 from styloprof.normalize import NormalizedText, Rewrite, normalize
 from styloprof.pos import TaggedToken, fallback_tag, ingest_tagged_file, relabel, simple_tokenize
 
@@ -234,6 +234,20 @@ def reference_relabel(tagged: list[tuple[str, str]]) -> list[str]:
         else:
             stream.append(tag[0].upper()[0])
     return stream
+
+
+# ---------------------------------------------------------------------------
+# Matrices for the learner tests, written as one column -> value mapping
+# per row.
+
+def matrix_from_rows(rows, dimension: int) -> SparseMatrix:
+    """One `SparseMatrix` row per column -> value mapping, through
+    `SparseMatrix.from_entries`."""
+    rows = list(rows)
+    return SparseMatrix.from_entries([r for r, row in enumerate(rows) for _ in row],
+                                     [col for row in rows for col in row],
+                                     [value for row in rows for value in row.values()],
+                                     len(rows), dimension)
 
 
 # ---------------------------------------------------------------------------

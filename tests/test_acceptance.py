@@ -16,7 +16,7 @@ import pytest
 
 from styloprof.corpus import Document, LabelSet, LabeledDocument, group_into_samples
 from styloprof.experiment import parse_config_text, run_experiment, strip_timings
-from styloprof.features import SparseMatrix, char_ngrams, pos_ngrams
+from styloprof.features import char_ngrams, pos_ngrams
 from styloprof.learner import TrainConfig, predict, train_binary
 from styloprof.metrics import ConfusionMatrix, report, trait_rmse_report
 from styloprof.normalize import default_rules, normalize
@@ -24,8 +24,8 @@ from styloprof.pos import TaggedToken, relabel
 from styloprof.synthetic import write_marker_csv
 
 from conftest import record_criterion, record_criterion_skip
-from oracles import (hinge_objective, random_hinge_instances, random_separable_instance,
-                     subgradient_hinge_oracle)
+from oracles import (hinge_objective, matrix_from_rows, random_hinge_instances,
+                     random_separable_instance, subgradient_hinge_oracle)
 
 
 def criterion(number: int, description: str):
@@ -139,7 +139,7 @@ def test_solver_objective_against_oracle():
     cfg = TrainConfig(c_param=1.0, epochs=4000, tolerance=1e-12, seed=7)
     worst = 0.0
     for (rows, labels, dim), target in zip(instances, oracle_values):
-        X = SparseMatrix.from_rows(rows, dim)
+        X = matrix_from_rows(rows, dim)
         model = train_binary(X, labels, cfg)
         value = hinge_objective(model.weights, model.bias, X, labels, 1.0)
         worst = max(worst, abs(value - target) / max(1.0, abs(target)))
@@ -149,7 +149,7 @@ def test_solver_objective_against_oracle():
     sep_cfg = TrainConfig(c_param=1e3, epochs=2000, tolerance=1e-8, seed=1)
     for _ in range(10):
         rows, labels, dim = random_separable_instance(rng)
-        X = SparseMatrix.from_rows(rows, dim)
+        X = matrix_from_rows(rows, dim)
         model = train_binary(X, labels, sep_cfg)
         assert [label for label, _ in predict(model, X)] == labels
 

@@ -224,6 +224,21 @@ class TestFeaturizeCommand:
         assert err.startswith("data error:") and f"{name}: {message}" in err
 
 
+    @pytest.mark.parametrize("body, message", [
+        ('a,F,"hi there\nb,M,yo\n', "c.csv: row 2: malformed CSV: unexpected end of data"),
+        ("a,F," + "x" * 131_073 + "\n", "c.csv: row 2: malformed CSV: field larger than field limit"),
+    ], ids=["unterminated-quote", "oversized-field"])
+    def test_malformed_csv_exits_3(self, tmp_path, capsys, body, message):
+        (tmp_path / "c.csv").write_text("id,gender,text\n" + body, encoding="utf-8")
+        code = main(["featurize", "--corpus-format", "FlatCsv",
+                     "--corpus-path", str(tmp_path / "c.csv"),
+                     "--language", "es", "--vocab-out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and message in err
+        assert not (tmp_path / "v").exists()
+
+
 class TestTrainPredictEvaluate:
     def test_full_gender_loop(self, tmp_path, capsys):
         train_gender_model(tmp_path)
@@ -572,6 +587,30 @@ def _vocab_key_order(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _append_field(path, tag, field):
+    line = next(line for line in path.read_text(encoding="utf-8").splitlines()
+                if line.split("\t")[0] == tag)
+    _replace_line(path, tag, f"{line}\t{field}")
+
+
+def _vocab_min_df_zero(tmp_path):
+    path = tmp_path / "m.vocab"
+    fields = path.read_text(encoding="utf-8").split("\n", 1)[0].split("\t")
+    _replace_line(path, fields[0], "\t".join(fields[:3] + ["min_df=0"]))
+
+
+def _vocab_min_df_twice(tmp_path):
+    _append_field(tmp_path / "m.vocab", "styloprof-vocab-v1", "min_df=3")
+
+
+def _config_c_param_twice(tmp_path):
+    _append_field(tmp_path / "m.model", "config", "c_param=2.0")
+
+
+def _config_unknown_key(tmp_path):
+    _append_field(tmp_path / "m.model", "config", "bogus=1")
+
+
 def _nan_bias(tmp_path):
     _replace_line(tmp_path / "m.model", "bias", "bias\tnan")
 
@@ -596,8 +635,13 @@ class TestPredictLoaderErrors:
         (_bad_config, "malformed config line"),
         (_nan_bias, "non-finite bias"),
         (_inf_weight, "non-finite weight"),
+        (_vocab_min_df_zero, "min_df must be >= 1, got 0"),
+        (_vocab_min_df_twice, "bad vocabulary header"),
+        (_config_c_param_twice, "malformed config line"),
+        (_config_unknown_key, "malformed config line"),
     ], ids=["vocab-column", "vocab-char-unit", "vocab-repeated-key", "vocab-header-count",
-            "vocab-key-order", "model-dim", "model-config", "nan-bias", "inf-weight"])
+            "vocab-key-order", "model-dim", "model-config", "nan-bias", "inf-weight",
+            "vocab-min-df-zero", "vocab-min-df-twice", "config-c-param-twice", "config-unknown-key"])
     def test_corrupt_file_exits_3(self, tmp_path, capsys, corrupt, message):
         train_gender_model(tmp_path)
         corrupt(tmp_path)

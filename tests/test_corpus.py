@@ -18,6 +18,7 @@ from styloprof.corpus import (
     LabeledDocument,
     Sample,
     group_into_samples,
+    key_values,
     load_flat_csv,
     load_pan_truth_dir,
     open_text,
@@ -528,3 +529,10 @@ class TestLines:
     def test_carriage_returns_read_as_newlines(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"uno\r\ndos\rtres\n")
         assert read_lines(tmp_path / "a.txt") == ["uno", "dos", "tres"]
+
+    def test_key_values_exactly_the_written_keys(self):
+        assert key_values(["a=1", "b=x=y", "c="], ("a", "b", "c")) == ["1", "x=y", ""]
+        for fields in (["b=2", "a=1"], ["a=1"], ["a=1", "b=2", "a=3"], ["a=1", "b=2", "z=0"],
+                       ["a=1", "b"], ["a=1", "B=2"]):
+            with pytest.raises(DataError, match="in that order"):
+                key_values(fields, ("a", "b"))

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from styloprof import experiment
 from styloprof.corpus import (
+    AGE_BANDS,
+    TRAIT_NAMES,
     CorpusSpec,
     Document,
     LabelSet,
@@ -596,6 +598,16 @@ class TestEpochCapWarning:
         result = run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
         capped = [w for w in result.warnings if "epoch cap" in w]
         assert capped == [f"sample size {k}: {self.WARNING}" for k in (1, 2)]
+
+    @pytest.mark.parametrize("task, heads", [("age", 3), ("traits", 5)])
+    def test_every_head_counted(self, task, heads):
+        samples = [Sample(f"s{i}", [Document(f"s{i}:0", f"w{i % 3} x{i}", ("N",))],
+                          LabelSet(gender="Female", age_band=AGE_BANDS[i % 3],
+                                   traits=dict.fromkeys(TRAIT_NAMES, 0.2 * (i % 3) - 0.2)))
+                   for i in range(9)]
+        outcome = run_single(task, samples, samples, ScalingPolicy("linear", "linear"), 1,
+                             TrainConfig(epochs=1, tolerance=1e-12))
+        assert outcome.warnings == [self.WARNING.replace("1 of 1", f"{heads} of {heads}")]
 
     def test_separable_two_points_do_not_warn(self):
         samples = [Sample("f", [Document("f0", "aaa aaa", ("N",))], LabelSet(gender="Female")),

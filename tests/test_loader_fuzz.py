@@ -32,12 +32,14 @@ from styloprof.cli import _read_label_rows, _read_trait_rows
 from styloprof.corpus import TRAIT_NAMES, CorpusSpec, load_flat_csv, load_pan_truth_dir
 from styloprof.errors import ConfigError, DataError, StyloprofError
 from styloprof.experiment import extract_config, parse_config_text, render_result, run_experiment
-from styloprof.features import ScalingPolicy, SparseMatrix, Vocabulary
+from styloprof.features import ScalingPolicy, Vocabulary
 from styloprof.learner import (ModelBundle, TrainConfig, load_model, save_model, train_binary,
                                train_ovr, train_traits)
 from styloprof.normalize import load_rules
 from styloprof.pos import ingest_tagged_file, load_lexicon
 from styloprof.synthetic import write_marker_csv
+
+from oracles import matrix_from_rows
 
 TOKENS = ["nan", "NaN", "inf", "-inf", "1e999", "-1e999", "", "0", "-0.0", "1", "2.5", "-3",
           "i:3", "s:x", "i:x", "abc", "char", "pos", "bias", "weights", "dim", "=", "c_param=nan",
@@ -127,13 +129,14 @@ def saved(tmp_path_factory):
     folder = tmp_path_factory.mktemp("saved")
     vocab = Vocabulary(["\\", "_a", "b␟_"], [("N",), ("REF@USERNAME", "V")], min_df=2)
     vocab.save(folder / "v.tsv")
-    X = SparseMatrix.from_rows([{0: 1.0, 3: 2.0}, {1: 1.5}, {2: -1.0, 4: 0.5}, {0: 3.0, 4: 1.0},
-                                {}, {1: 0.25, 2: 2.0}], len(vocab))
+    X = matrix_from_rows([{0: 1.0, 3: 2.0}, {1: 1.5}, {2: -1.0, 4: 0.5}, {0: 3.0, 4: 1.0},
+                          {}, {1: 0.25, 2: 2.0}], len(vocab))
     cfg = TrainConfig(c_param=0.7, epochs=30, tolerance=1e-3, seed=4, epsilon=0.05)
     models = {
         "binary": train_binary(X, [1, -1, 1, -1, 1, -1], cfg, "Female", "Male"),
         "ovr": train_ovr(X, ["18-24", "25-34", 7, "18-24", 7, "25-34"], cfg),
-        "traits": train_traits(X, [[0.1 * (r % 4) - 0.2] * 5 for r in range(6)], cfg),
+        "traits": train_traits(X, [dict.fromkeys(TRAIT_NAMES, 0.1 * (r % 4) - 0.2) for r in range(6)],
+                               cfg),
     }
     lines = {"vocab": (folder / "v.tsv").read_text(encoding="utf-8").splitlines()}
     for kind, model in models.items():
