@@ -15,7 +15,8 @@ import argparse
 import math
 import sys
 
-from .corpus import FORMATS, LANGUAGES, TRAIT_NAMES, CorpusSpec, read_lines, split_lines, write_lines
+from .corpus import (FORMATS, LANGUAGES, TRAIT_MAX, TRAIT_MIN, TRAIT_NAMES, CorpusSpec, read_lines,
+                     split_lines, write_lines)
 from .errors import ConfigError, DataError, StyloprofError
 from .experiment import (as_samples, load_rules_and_lexicon, parse_config_file,
                          predict_samples, prepare_corpus, render_result,
@@ -64,7 +65,8 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_featurize(args) -> int:
     samples = _prepared_samples(args)
-    counts = [sample_counts(s) for s in samples]
+    windows: dict = {}
+    counts = [sample_counts(s, windows) for s in samples]
     vocab = build_vocabulary(counts, min_df=args.min_df)
     vocab.save(args.vocab_out)
     print(f"vocabulary: {len(vocab)} keys ({len(vocab.char_grams)} char, {len(vocab.pos_grams)} pos) "
@@ -144,6 +146,9 @@ def _read_trait_rows(path) -> list[tuple[str, dict[str, float]]]:
                 raise DataError(f"{path}:{lineno}: unparsable trait value {raw_value!r}") from None
             if not math.isfinite(values[name]):
                 raise DataError(f"{path}:{lineno}: non-finite trait value {raw_value!r}")
+            if not (TRAIT_MIN <= values[name] <= TRAIT_MAX):
+                raise DataError(f"{path}:{lineno}: trait {name} = {values[name]} "
+                                f"outside [{TRAIT_MIN}, {TRAIT_MAX}]")
         if len(values) != len(TRAIT_NAMES):
             raise DataError(f"{path}:{lineno}: duplicate or missing trait fields")
         rows.append((parts[0], values))

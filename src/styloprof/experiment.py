@@ -15,6 +15,12 @@ file's by class in chunks of `grouping_k`.  Three protocols are supported:
   sample size k, each regrouping the documents into samples of k, with
   its own split, vocabulary and model.
 
+Char n-grams are counted through one token -> windows dict
+(`features.char_ngrams`) per entry point: `run_experiment` makes one
+per call and shares it between training, test and every sweep size;
+`train_full`, `predict_samples` and `cli featurize` each make their own
+when called alone.  The dict is dropped when that call returns.
+
 Result files carry enough provenance (config text and hash, corpus
 fingerprints, seeds, vocabulary hash) to re-run identically; wall-clock
 timings sit in the final section so byte comparison can drop them.
@@ -371,11 +377,13 @@ def as_samples(prepared: PreparedCorpus, k: int | None = None) -> list[Sample]:
 # ---------------------------------------------------------------------------
 # feature extraction and task runners
 
-def sample_counts(sample: Sample) -> tuple[Counter, Counter]:
+def sample_counts(sample: Sample, windows: dict | None = None) -> tuple[Counter, Counter]:
     """Char (string-keyed) and POS (tuple-keyed) gram counts pooled over
     every document of a sample.  Tokens never span documents, so the
-    char grams of the joined texts are the sum of each document's."""
-    chars = char_ngrams(" ".join(doc.text for doc in sample.documents))
+    char grams of the joined texts are the sum of each document's.
+    `windows` is `char_ngrams`'s token -> windows dict, shared by the
+    caller across samples."""
+    chars = char_ngrams(" ".join(doc.text for doc in sample.documents), windows)
     tags: Counter = Counter()
     for doc in sample.documents:
         # elements() keeps the merge in C; Counter.update merges a mapping
@@ -447,10 +455,13 @@ def predict_one(bundle: ModelBundle, X):
     return predict(bundle.model, X)
 
 
-def predict_samples(bundle: ModelBundle, vocab: Vocabulary, samples: list[Sample]) -> list[tuple]:
+def predict_samples(bundle: ModelBundle, vocab: Vocabulary, samples: list[Sample],
+                    windows: dict | None = None) -> list[tuple]:
     """(sample id, label, margin) per sample for classifiers, (sample id,
-    trait->value dict) for regressors."""
-    X = vectorize([sample_counts(s) for s in samples], vocab, bundle.policy)
+    trait->value dict) for regressors.  Without `windows`, the samples
+    share a token -> windows dict of their own."""
+    windows = {} if windows is None else windows
+    X = vectorize([sample_counts(s, windows) for s in samples], vocab, bundle.policy)
     predictions = predict_one(bundle, X)
     if bundle.kind == "traits":
         return [(s.id, values) for s, values in zip(samples, predictions)]
@@ -470,10 +481,10 @@ def truth_rows(kind: str, samples: list[Sample]) -> list[tuple]:
 
 
 def _fit(task: str, samples: list[Sample], policy: ScalingPolicy, min_df: int, tc: TrainConfig,
-         warnings: list[str]) -> tuple[Vocabulary, ModelBundle]:
+         warnings: list[str], windows: dict) -> tuple[Vocabulary, ModelBundle]:
     """Counts, vocabulary, one matrix and the task's model, from training
     samples only."""
-    counts = [sample_counts(s) for s in samples]
+    counts = [sample_counts(s, windows) for s in samples]
     vocab = build_vocabulary(counts, min_df=min_df)
     X = vectorize(counts, vocab, policy)
     return vocab, _train_task(task, X, samples, tc, policy, vocab.content_hash(), warnings)
@@ -481,12 +492,15 @@ def _fit(task: str, samples: list[Sample], policy: ScalingPolicy, min_df: int, t
 
 def run_single(task: str, train_samples: list[Sample], test_samples: list[Sample],
                policy: ScalingPolicy, min_df: int, tc: TrainConfig,
-               report_classes: list | None = None) -> RunOutcome:
+               report_classes: list | None = None, windows: dict | None = None) -> RunOutcome:
+    """Fit on the training samples and score the test samples, both
+    counted through one token -> windows dict (`windows`, else a new one)."""
     warnings: list[str] = []
-    vocab, bundle = _fit(task, train_samples, policy, min_df, tc, warnings)
+    windows = {} if windows is None else windows
+    vocab, bundle = _fit(task, train_samples, policy, min_df, tc, warnings, windows)
     outcome = RunOutcome(vocab_hash=bundle.vocab_hash, n_train=len(train_samples),
                          n_test=len(test_samples), bundle=bundle, warnings=warnings,
-                         predictions=predict_samples(bundle, vocab, test_samples))
+                         predictions=predict_samples(bundle, vocab, test_samples, windows))
     truth = [value for _, value in truth_rows(bundle.kind, test_samples)]
 
     if task == "traits":
@@ -510,7 +524,7 @@ def train_full(cfg: ExperimentConfig):
     prepared = prepare_corpus(cfg.train_corpus, rules, lexicon, warnings)
     samples = as_samples(prepared)
     vocab, bundle = _fit(cfg.task, samples, cfg.resolved_scaling(), cfg.min_df,
-                         cfg.train_config, warnings)
+                         cfg.train_config, warnings, {})
     return vocab, bundle, len(samples), warnings
 
 
@@ -570,8 +584,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         provenance["test_corpus_sha256"] = test_prepared.fingerprint
         provenance["test_pos_source"] = test_prepared.pos_source
 
+    windows: dict = {}
     if cfg.sweep_k is not None:
-        rows, classes = _run_sweep(cfg, train_prepared, policy, timings, warnings)
+        rows, classes = _run_sweep(cfg, train_prepared, policy, timings, warnings, windows)
         return ExperimentResult(mode="sweep", task=cfg.task, provenance=provenance,
                                 warnings=warnings, outcome=None, sweep_rows=rows,
                                 sweep_classes=classes, config_text=cfg.raw_text, timings=timings)
@@ -589,7 +604,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     timings.append(("group_and_split", time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    outcome = run_single(cfg.task, train_samples, test_samples, policy, cfg.min_df, cfg.train_config)
+    outcome = run_single(cfg.task, train_samples, test_samples, policy, cfg.min_df, cfg.train_config,
+                         windows=windows)
     timings.append(("features_train_evaluate", time.perf_counter() - t0))
     warnings.extend(outcome.warnings)
     provenance["vocab_sha256"] = outcome.vocab_hash
@@ -600,8 +616,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                             sweep_classes=None, config_text=cfg.raw_text, timings=timings)
 
 
-def _run_sweep(cfg: ExperimentConfig, prepared: PreparedCorpus,
-               policy: ScalingPolicy, timings, warnings: list[str]) -> tuple[list[dict], list]:
+def _run_sweep(cfg: ExperimentConfig, prepared: PreparedCorpus, policy: ScalingPolicy,
+               timings, warnings: list[str], windows: dict) -> tuple[list[dict], list]:
     """One independent micro-experiment per sample size; vocabulary and
     model are rebuilt from scratch for every k."""
     classes = _first_appearance(s.labels.gender for s in prepared.samples)
@@ -612,7 +628,8 @@ def _run_sweep(cfg: ExperimentConfig, prepared: PreparedCorpus,
         train_samples, test_samples = stratified_split(samples, cfg.split_fraction,
                                                        cfg.split_seed, key=_SPLIT_KEY[cfg.task])
         outcome = run_single(cfg.task, train_samples, test_samples, policy,
-                             cfg.min_df, cfg.train_config, report_classes=classes)
+                             cfg.min_df, cfg.train_config, report_classes=classes,
+                             windows=windows)
         elapsed = time.perf_counter() - t0
         warnings.extend(f"sample size {k}: {warning}" for warning in outcome.warnings)
         row = {"k": k, "n_train": outcome.n_train, "n_test": outcome.n_test,

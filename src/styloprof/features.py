@@ -3,7 +3,10 @@
 Character n-grams: the text is whitespace-tokenized, every token is padded
 with a single ``_`` on each side, and all windows of orders 1 to 3 are
 emitted except windows made of pad marks only.  For ``self-defense``
-this yields 12 unigrams, 13 bigrams and 12 trigrams.
+this yields 12 unigrams, 13 bigrams and 12 trigrams.  `char_ngrams` takes
+an optional dict from token to windows, which the caller owns: pass one
+dict to every call over a corpus and each distinct token is windowed
+once.
 
 POS n-grams: plain windows of orders 1 to 3 over the unpadded tag stream.
 
@@ -66,21 +69,33 @@ def default_policy(language: str) -> ScalingPolicy:
     return ScalingPolicy(LINEAR, LOG2 if language == "es" else LINEAR)
 
 
-def char_ngrams(text: str) -> Counter:
+def _token_windows(token: str) -> tuple[str, ...]:
+    """The padded windows of one token, unigrams then bigrams then
+    trigrams, each in text order, without the windows of pad marks only."""
+    padded = PAD + token + PAD
+    bigrams = list(map(str.__add__, padded, padded[1:]))
+    trigrams = list(map(str.__add__, bigrams, padded[2:]))
+    if PAD in token:
+        return tuple([w for w in chain(padded, bigrams, trigrams) if w.strip(PAD)])
+    # without a pad mark inside, only the two pad unigrams are pad-only
+    return (*token, *bigrams, *trigrams)
+
+
+def char_ngrams(text: str, windows: dict[str, tuple[str, ...]] | None = None) -> Counter:
     """Multiset of padded character n-grams of orders 1 to 3, keyed by the
     window itself (``"_ab"``).  Keys first appear token by token, lower
-    orders first, so pooled counts keep a stable order."""
-    windows: list[str] = []
-    for token in text.split():
-        grams = padded = PAD + token + PAD
-        windows += padded
-        for n in (2, 3):
-            grams = list(map(str.__add__, grams, padded[n - 1 :]))
-            windows += grams
-    counts = Counter(windows)
-    for n in (1, 2, 3):
-        counts.pop(PAD * n, None)
-    return counts
+    orders first, so pooled counts keep a stable order.
+
+    `windows` maps tokens to their windows; entries are added for tokens
+    not in it yet.  A caller that counts many texts passes one dict to
+    every call so each distinct token is windowed once: the dict lives as
+    long as the caller keeps it, and no cache outlives the caller."""
+    if windows is None:
+        windows = {}
+    tokens = text.split()
+    for token in set(tokens).difference(windows):
+        windows[token] = _token_windows(token)
+    return Counter(chain.from_iterable(map(windows.__getitem__, tokens)))
 
 
 def pos_ngrams(stream: list[str]) -> Counter:

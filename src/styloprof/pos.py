@@ -9,6 +9,11 @@ grammatical tags survives into POS n-grams.
 A POS stream is a plain list of strings: single uppercase category
 letters, or one of the three REF tags.
 
+`load_lexicon` reads the lexicon file on every call but parses it only
+when the (path, text) pair differs from the last one parsed: the parsed
+mapping is held in a one-entry memo for the life of the process and
+shared, read-only, by every caller.
+
 Without external tags, `simple_tokenize`, `fallback_tag` and `relabel`
 produce the stream.  Most chunks of a tweet are plain words: the
 tokenizer keeps a chunk for which `str.isalnum()` holds whole, since no
@@ -18,11 +23,13 @@ scans the characters of the other chunks only.
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .corpus import read_lines
+from .corpus import open_text, read_lines, split_lines
 from .errors import DataError
 
 REF_USERNAME = "REF@USERNAME"
@@ -101,7 +108,7 @@ def _is_punct_only(token: str) -> bool:
     return all(unicodedata.category(c)[0] in ("P", "S") for c in token)
 
 
-def fallback_tag(tokens: list[str], lexicon: dict[str, str]) -> list[TaggedToken]:
+def fallback_tag(tokens: list[str], lexicon: Mapping[str, str]) -> list[TaggedToken]:
     """Deterministic lexicon tagger used when no external tags are supplied.
 
     Lookup is on the lowercased surface; unknown words default to ``N``
@@ -109,8 +116,9 @@ def fallback_tag(tokens: list[str], lexicon: dict[str, str]) -> list[TaggedToken
     tokens to ``F``.  A baseline, not a substitute for a real tagger.
     """
     tagged = []
+    lookup = lexicon.get
     for tok in tokens:
-        cat = lexicon.get(tok.lower())
+        cat = lookup(tok.lower())
         if cat is None:
             if _NUMERIC.fullmatch(tok):
                 cat = "Z"
@@ -122,17 +130,31 @@ def fallback_tag(tokens: list[str], lexicon: dict[str, str]) -> list[TaggedToken
     return tagged
 
 
-def load_lexicon(path) -> dict[str, str]:
-    """Lexicon file: ``word<TAB>letter`` per line, ``#`` comments allowed."""
-    lexicon: dict[str, str] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise DataError(f"{path}:{lineno}: expected `word<TAB>letter`")
-        lexicon[parts[0].lower()] = parts[1].upper()
-    return lexicon
+# ((path, text), mapping) of the last lexicon parsed
+_lexicon_memo: tuple[tuple[str, str], Mapping[str, str]] | None = None
+
+
+def load_lexicon(path) -> Mapping[str, str]:
+    """Lexicon file: ``word<TAB>letter`` per line, ``#`` comments allowed.
+
+    The file is read on every call and parsed only when its path or text
+    differs from the last lexicon parsed, so an edited file is always
+    re-read and an unchanged one returns the same read-only mapping.  A
+    malformed file raises on every call: errors are never memoized."""
+    global _lexicon_memo
+    with open_text(path) as fh:
+        key = os.fspath(path), fh.read()
+    if _lexicon_memo is None or _lexicon_memo[0] != key:
+        lexicon: dict[str, str] = {}
+        for lineno, line in enumerate(split_lines(key[1]), start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise DataError(f"{path}:{lineno}: expected `word<TAB>letter`")
+            lexicon[parts[0].lower()] = parts[1].upper()
+        _lexicon_memo = key, MappingProxyType(lexicon)
+    return _lexicon_memo[1]
 
 
 _KEEP_PREFIX = "@#"  # starts a mention marker or hashtag

@@ -475,6 +475,26 @@ class TestEvaluateErrors:
         err = capsys.readouterr().err
         assert f"{files[side]}:1: non-finite trait value {bad!r}" in err
 
+    @pytest.mark.parametrize("side", ["predictions", "truth"])
+    def test_out_of_range_trait_value(self, tmp_path, capsys, side):
+        good = "a\tE=0.1\tN=0.1\tA=0.1\tC=0.1\tO=0.1\n"
+        files = {"predictions": tmp_path / "p.tsv", "truth": tmp_path / "t.tsv"}
+        for name, path in files.items():
+            path.write_text(good.replace("E=0.1", "E=9") if name == side else good,
+                            encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(files["predictions"]),
+                     "--truth", str(files["truth"]), "--task", "traits"]) == 3
+        err = capsys.readouterr().err
+        assert f"{files[side]}:1: trait E = 9.0 outside [-0.5, 0.5]" in err
+
+    def test_trait_range_bounds_accepted(self, tmp_path, capsys):
+        row = "a\tE=-0.5\tN=0.5\tA=0.1\tC=0.1\tO=0.1\n"
+        for name in ("p.tsv", "t.tsv"):
+            (tmp_path / name).write_text(row, encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(tmp_path / "p.tsv"),
+                     "--truth", str(tmp_path / "t.tsv"), "--task", "traits"]) == 0
+        assert "mean_exact\t0.0" in capsys.readouterr().out
+
     def test_duplicate_trait_field(self, tmp_path, capsys):
         (tmp_path / "p.tsv").write_text(
             "a\tE=0.1\tE=0.2\tA=0.1\tC=0.1\tO=0.1\n", encoding="utf-8")

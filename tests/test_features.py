@@ -16,6 +16,7 @@ from styloprof.features import (
     CHAR,
     LINEAR,
     LOG2,
+    PAD,
     POS,
     FeatureKey,
     ScalingPolicy,
@@ -107,6 +108,47 @@ class TestCharNgrams:
         length = len(token)
         by_order = Counter(len(gram) for gram in char_ngrams(token).elements())
         assert by_order == {1: length, 2: length + 1, 3: length}
+
+
+# tokens with pad marks, pad marks only, combining marks and astral
+# characters, between any of the whitespace separators `str.split` knows
+window_tokens = st.one_of(st.text(alphabet="ab_é\u0301\u0308😀𝔸", min_size=1, max_size=6),
+                          st.text(alphabet=PAD, min_size=1, max_size=4))
+window_separators = st.sampled_from([" ", "\t", "\n", "\x1c", "\x85", "\u2028", "\u3000"])
+window_texts = st.lists(st.tuples(window_tokens, window_separators), max_size=10).map(
+    lambda parts: "".join(token + sep for token, sep in parts))
+
+
+class TestSharedWindows:
+    """One token -> windows dict shared across calls counts what fresh
+    calls count, with the same key order."""
+
+    @given(st.lists(window_texts, max_size=6))
+    @settings(max_examples=300)
+    def test_shared_dict_matches_uncached_calls(self, texts):
+        windows: dict = {}
+        for text in texts:
+            shared = char_ngrams(text, windows)
+            fresh = char_ngrams(text)
+            assert list(shared.items()) == list(fresh.items())
+            # the reference walks tokens, then orders, then positions
+            assert list(shared.items()) == [("".join(gram), n) for (_, gram), n
+                                            in ngram_reference(text, 1, 3).items()]
+        assert set(windows) == {token for text in texts for token in text.split()}
+
+    @given(st.lists(st.lists(st.tuples(window_texts, st.lists(st.sampled_from(["N", "V", "F"]),
+                                                              max_size=5)),
+                             min_size=1, max_size=3), min_size=1, max_size=4))
+    @settings(max_examples=100)
+    def test_sample_counts_with_and_without_shared_dict(self, corpus):
+        samples = [Sample(id=f"s{i}", labels=LabelSet(gender="Female"), documents=[
+            Document(id=f"s{i}/{j}", text=text, pos_tags=tuple(tags))
+            for j, (text, tags) in enumerate(docs)]) for i, docs in enumerate(corpus)]
+        windows: dict = {}
+        for sample in samples:
+            shared, fresh = sample_counts(sample, windows), sample_counts(sample)
+            for a, b in zip(shared, fresh):
+                assert list(a.items()) == list(b.items())
 
 
 class TestPosNgrams:

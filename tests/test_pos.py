@@ -1,6 +1,7 @@
 """POS tag reduction, REF relabeling, tagged-file ingestion, fallback tagger."""
 
 import gzip
+import os
 import sys
 import unicodedata
 
@@ -201,6 +202,61 @@ class TestLoadLexicon:
         path.write_text("oops\n", encoding="utf-8")
         with pytest.raises(DataError, match=":1:"):
             load_lexicon(path)
+
+
+class TestLexiconMemo:
+    """`load_lexicon` parses a file again only when its path or text
+    changed, and hands out one read-only mapping per parse."""
+
+    def test_same_content_same_object(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("casa\tN\nes\tV\n", encoding="utf-8")
+        first = load_lexicon(path)
+        assert load_lexicon(path) is first
+        assert load_lexicon(str(path)) is first
+
+    def test_rewrite_with_restored_mtime_is_reread(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("casa\tN\n", encoding="utf-8")
+        before = os.stat(path)
+        assert load_lexicon(path) == {"casa": "N"}
+        path.write_text("casa\tV\n", encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_lexicon(path) == {"casa": "V"}
+
+    def test_malformed_file_raises_every_call(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("casa\tN\noops\n", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(DataError, match=":2:"):
+                load_lexicon(path)
+
+    def test_read_only(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("casa\tN\n", encoding="utf-8")
+        lexicon = load_lexicon(path)
+        with pytest.raises(TypeError):
+            lexicon["casa"] = "V"
+        assert load_lexicon(path) == {"casa": "N"}
+
+    def test_holds_one_lexicon(self, tmp_path):
+        paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+        paths[0].write_text("casa\tN\n", encoding="utf-8")
+        paths[1].write_text("es\tV\n", encoding="utf-8")
+        first = load_lexicon(paths[0])
+        assert load_lexicon(paths[1]) == {"es": "V"}
+        # the second lexicon replaced the first: loading it again parses anew
+        again = load_lexicon(paths[0])
+        assert again == first and again is not first
+
+    def test_gzip_twin(self, tmp_path):
+        data = "# words\ncasa\tN\nRun\tv\n".encode("utf-8")
+        (tmp_path / "lex.tsv").write_bytes(data)
+        (tmp_path / "lex.tsv.gz").write_bytes(gzip.compress(data))
+        assert load_lexicon(tmp_path / "lex.tsv.gz") == load_lexicon(tmp_path / "lex.tsv") \
+            == {"casa": "N", "run": "V"}
 
 
 class TestSimpleTokenize:
