@@ -49,6 +49,6 @@ write_sweep_csv(work / "sweep.csv", n_docs=600, seed=1)
 SWEEP = CONFIG.replace("train.csv", "sweep.csv") + "\n[sweep]\nk_values = 1, 4, 8\n"
 swept = run_experiment(parse_config_text(SWEEP, base_dir=str(work)))
 print("\nk vs accuracy:")
-for row in swept.sweep_rows:
-    print(f"  k={row['k']:<2} n_train={row['n_train']:<3} "
-          f"accuracy={row['accuracy']:.3f}")
+for k, run in swept.sweep:
+    print(f"  k={k:<2} n_train={run.n_train:<3} "
+          f"accuracy={run.class_report.accuracy:.3f}")

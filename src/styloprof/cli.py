@@ -215,7 +215,7 @@ def _cmd_run(args) -> int:
     elif result.outcome is not None and result.outcome.trait_report is not None:
         headline = f"mean trait RMSE {result.outcome.trait_report.mean:.3f}"
     else:
-        headline = f"{len(result.sweep_rows)} sweep row(s)"
+        headline = f"{len(result.sweep)} sweep row(s)"
     print(f"{result.mode} experiment ({result.task}): {headline} -> {args.output}")
     return 0
 

@@ -70,7 +70,6 @@ class ExperimentConfig:
     rules_path: str | None
     lexicon_path: str | None
     raw_text: str
-    base_dir: str
 
     def resolved_scaling(self) -> ScalingPolicy:
         if self.scaling is not None:
@@ -226,6 +225,9 @@ def parse_config_text(raw_text: str, base_dir: str = ".") -> ExperimentConfig:
         errors.append("sample-size sweeps support only the gender task")
     if sweep_k is not None and train_corpus is not None and train_corpus.format != "FlatCsv":
         errors.append("sample-size sweeps need a FlatCsv train corpus to regroup")
+    if sweep_k is not None and train_corpus is not None and train_corpus.grouping_k is not None:
+        errors.append("[train_corpus] grouping_k does not apply to a sample-size sweep, "
+                      "which groups by each of [sweep] k_values")
     for label, spec in (("train_corpus", train_corpus), ("test_corpus", test_corpus)):
         if spec is None:
             continue
@@ -240,7 +242,7 @@ def parse_config_text(raw_text: str, base_dir: str = ".") -> ExperimentConfig:
         scaling=scaling, train_config=train_config, sweep_k=sweep_k,
         rules_path=os.path.join(base_dir, rules_path) if rules_path else None,
         lexicon_path=os.path.join(base_dir, lexicon_path) if lexicon_path else None,
-        raw_text=raw_text, base_dir=base_dir,
+        raw_text=raw_text,
     )
 
 
@@ -405,13 +407,12 @@ def extract_counts(sample: Sample) -> tuple[Counter, Counter]:
 
 @dataclass
 class RunOutcome:
-    vocab_hash: str
+    bundle: ModelBundle
     n_train: int
     n_test: int
     class_report: ClassReport | None = None
     trait_report: TraitReport | None = None
     predictions: list = field(default_factory=list)
-    bundle: ModelBundle | None = None
     warnings: list[str] = field(default_factory=list)
 
 
@@ -498,8 +499,8 @@ def run_single(task: str, train_samples: list[Sample], test_samples: list[Sample
     warnings: list[str] = []
     windows = {} if windows is None else windows
     vocab, bundle = _fit(task, train_samples, policy, min_df, tc, warnings, windows)
-    outcome = RunOutcome(vocab_hash=bundle.vocab_hash, n_train=len(train_samples),
-                         n_test=len(test_samples), bundle=bundle, warnings=warnings,
+    outcome = RunOutcome(bundle=bundle, n_train=len(train_samples),
+                         n_test=len(test_samples), warnings=warnings,
                          predictions=predict_samples(bundle, vocab, test_samples, windows))
     truth = [value for _, value in truth_rows(bundle.kind, test_samples)]
 
@@ -540,14 +541,19 @@ class ExperimentResult:
     task: str
     provenance: dict
     warnings: list[str]
-    outcome: RunOutcome | None          # single-run modes
-    sweep_rows: list[dict] | None       # sweep mode
-    sweep_classes: list | None
+    outcome: RunOutcome | None                   # split and cross modes
+    sweep: list[tuple[int, RunOutcome]] | None   # sweep mode: (k, run) per sample size
     config_text: str
     timings: list[tuple[str, float]]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Prepare the corpora once, then run one fit-and-score per sample
+    size of the sweep, or a single one in split and cross mode.  Each
+    run groups the training corpus's documents (by `k` in a sweep, else
+    as prepared), splits them, or in cross mode scores the whole test
+    corpus, and fits a vocabulary and model of its own.  All runs share
+    one token -> windows dict."""
     warnings: list[str] = []
     timings: list[tuple[str, float]] = []
     rules, lexicon = load_rules_and_lexicon(cfg.rules_path, cfg.lexicon_path, cfg.train_corpus.language)
@@ -585,63 +591,35 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         provenance["test_pos_source"] = test_prepared.pos_source
 
     windows: dict = {}
+    runs: list[tuple[int | None, RunOutcome]] = []
+    for k in cfg.sweep_k or [None]:
+        t0 = time.perf_counter()
+        samples = as_samples(train_prepared, k)
+        if test_prepared is None:
+            train_samples, test_samples = stratified_split(samples, cfg.split_fraction,
+                                                           cfg.split_seed, key=_SPLIT_KEY[cfg.task])
+        else:
+            train_samples, test_samples = samples, as_samples(test_prepared)
+        # a sweep reports every size over the corpus's classes, so its columns line up
+        classes = None if k is None else _first_appearance(s.labels.gender for s in samples)
+        outcome = run_single(cfg.task, train_samples, test_samples, policy, cfg.min_df,
+                             cfg.train_config, report_classes=classes, windows=windows)
+        timings.append(("features_train_evaluate" if k is None else f"sweep_k{k}",
+                        time.perf_counter() - t0))
+        warnings.extend(w if k is None else f"sample size {k}: {w}" for w in outcome.warnings)
+        runs.append((k, outcome))
+
     if cfg.sweep_k is not None:
-        rows, classes = _run_sweep(cfg, train_prepared, policy, timings, warnings, windows)
         return ExperimentResult(mode="sweep", task=cfg.task, provenance=provenance,
-                                warnings=warnings, outcome=None, sweep_rows=rows,
-                                sweep_classes=classes, config_text=cfg.raw_text, timings=timings)
-
-    t0 = time.perf_counter()
-    if test_prepared is not None:
-        mode = "cross"
-        train_samples = as_samples(train_prepared)
-        test_samples = as_samples(test_prepared)
-    else:
-        mode = "split"
-        samples = as_samples(train_prepared)
-        train_samples, test_samples = stratified_split(samples, cfg.split_fraction,
-                                                       cfg.split_seed, key=_SPLIT_KEY[cfg.task])
-    timings.append(("group_and_split", time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    outcome = run_single(cfg.task, train_samples, test_samples, policy, cfg.min_df, cfg.train_config,
-                         windows=windows)
-    timings.append(("features_train_evaluate", time.perf_counter() - t0))
-    warnings.extend(outcome.warnings)
-    provenance["vocab_sha256"] = outcome.vocab_hash
+                                warnings=warnings, outcome=None, sweep=runs,
+                                config_text=cfg.raw_text, timings=timings)
+    [(_, outcome)] = runs
+    provenance["vocab_sha256"] = outcome.bundle.vocab_hash
     provenance["n_train"] = str(outcome.n_train)
     provenance["n_test"] = str(outcome.n_test)
-    return ExperimentResult(mode=mode, task=cfg.task, provenance=provenance,
-                            warnings=warnings, outcome=outcome, sweep_rows=None,
-                            sweep_classes=None, config_text=cfg.raw_text, timings=timings)
-
-
-def _run_sweep(cfg: ExperimentConfig, prepared: PreparedCorpus, policy: ScalingPolicy,
-               timings, warnings: list[str], windows: dict) -> tuple[list[dict], list]:
-    """One independent micro-experiment per sample size; vocabulary and
-    model are rebuilt from scratch for every k."""
-    classes = _first_appearance(s.labels.gender for s in prepared.samples)
-    rows = []
-    for k in cfg.sweep_k:
-        t0 = time.perf_counter()
-        samples = as_samples(prepared, k=k)
-        train_samples, test_samples = stratified_split(samples, cfg.split_fraction,
-                                                       cfg.split_seed, key=_SPLIT_KEY[cfg.task])
-        outcome = run_single(cfg.task, train_samples, test_samples, policy,
-                             cfg.min_df, cfg.train_config, report_classes=classes,
-                             windows=windows)
-        elapsed = time.perf_counter() - t0
-        warnings.extend(f"sample size {k}: {warning}" for warning in outcome.warnings)
-        row = {"k": k, "n_train": outcome.n_train, "n_test": outcome.n_test,
-               "accuracy": outcome.class_report.accuracy,
-               "vocab_sha256": outcome.vocab_hash, "seconds": elapsed}
-        for scores in outcome.class_report.per_class:
-            row[f"P:{scores.label}"] = scores.precision
-            row[f"R:{scores.label}"] = scores.recall
-            row[f"F:{scores.label}"] = scores.f_score
-        rows.append(row)
-        timings.append((f"sweep_k{k}", elapsed))
-    return rows, classes
+    return ExperimentResult(mode="split" if test_prepared is None else "cross", task=cfg.task,
+                            provenance=provenance, warnings=warnings, outcome=outcome, sweep=None,
+                            config_text=cfg.raw_text, timings=timings)
 
 
 # ---------------------------------------------------------------------------
@@ -675,19 +653,20 @@ def render_result(result: ExperimentResult) -> str:
             lines.append("## report")
             lines.extend(render_trait_report(rep).splitlines())
 
-    if result.sweep_rows is not None:
+    if result.sweep is not None:
         lines.append("## sweep")
-        metric_cols = ["accuracy"]
-        for cls in result.sweep_classes:
-            metric_cols.extend([f"P:{cls}", f"R:{cls}", f"F:{cls}"])
-        lines.append("\t".join(["k", "n_train", "n_test"] + metric_cols))
-        for row in result.sweep_rows:
-            cells = [str(row["k"]), str(row["n_train"]), str(row["n_test"])]
-            cells.extend(repr(row[c]) for c in metric_cols)
+        header = ["k", "n_train", "n_test", "accuracy"]
+        for scores in result.sweep[0][1].class_report.per_class:
+            header.extend(f"{metric}:{scores.label}" for metric in "PRF")
+        lines.append("\t".join(header))
+        for k, out in result.sweep:
+            cells = [str(k), str(out.n_train), str(out.n_test), repr(out.class_report.accuracy)]
+            for scores in out.class_report.per_class:
+                cells.extend(repr(v) for v in (scores.precision, scores.recall, scores.f_score))
             lines.append("\t".join(cells))
         lines.append("## sweep_provenance")
-        for row in result.sweep_rows:
-            lines.append(f"k\t{row['k']}\tvocab_sha256\t{row['vocab_sha256']}")
+        for k, out in result.sweep:
+            lines.append(f"k\t{k}\tvocab_sha256\t{out.bundle.vocab_hash}")
 
     lines.append("## config")
     for raw_line in split_lines(result.config_text):

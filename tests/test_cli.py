@@ -526,6 +526,16 @@ class TestRunCommand:
         assert code == 0
         assert "2 sweep row(s)" in capsys.readouterr().out
 
+    def test_sweep_with_grouping_k_exits_2(self, tmp_path, capsys):
+        write_marker_csv(tmp_path / "train.csv", n_docs=40)
+        config = GENDER_CONFIG.replace("language = es", "language = es\ngrouping_k = 5")
+        (tmp_path / "exp.ini").write_text(config + "\n[sweep]\nk_values = 1, 3\n", encoding="utf-8")
+        code = main(["run", "--config", str(tmp_path / "exp.ini"),
+                     "--output", str(tmp_path / "result.txt")])
+        assert code == 2
+        assert "grouping_k does not apply to a sample-size sweep" in capsys.readouterr().err
+        assert not (tmp_path / "result.txt").exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         (tmp_path / "exp.ini").write_text("[experiment]\ntask = gender\n", encoding="utf-8")
         code = main(["run", "--config", str(tmp_path / "exp.ini"),

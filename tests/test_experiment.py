@@ -206,6 +206,11 @@ k_values = 1, 2
         with pytest.raises(ConfigError, match="FlatCsv train corpus"):
             parse_config_text(text + "\n[sweep]\nk_values = 2\n")
 
+    def test_sweep_rejects_grouping_k(self):
+        text = MINIMAL.replace("language = es", "language = es\ngrouping_k = 5")
+        with pytest.raises(ConfigError, match=r"\[train_corpus\] grouping_k does not apply to a sample-size sweep"):
+            parse_config_text(text + "\n[sweep]\nk_values = 1, 3\n")
+
     def test_grouping_k_only_for_flat(self):
         text = MINIMAL.replace("format = FlatCsv",
                                "format = PanTruthDir\ngrouping_k = 3")
@@ -417,7 +422,7 @@ class TestRunExperiment:
         assert out.class_report is not None
         assert out.class_report.total == 18
         assert len(out.predictions) == 18
-        assert result.provenance["vocab_sha256"] == out.vocab_hash
+        assert result.provenance["vocab_sha256"] == out.bundle.vocab_hash
         assert result.provenance["n_train"] == "42"
 
     def test_provenance_keys(self, tmp_path):
@@ -618,9 +623,14 @@ class TestEpochCapWarning:
         assert outcome.warnings == []
 
 
+def run_view(outcome):
+    """What a run is judged by: its vocabulary, sample counts and scores."""
+    return (outcome.bundle.vocab_hash, outcome.n_train, outcome.n_test, outcome.class_report)
+
+
 class TestSweep:
-    def run_sweep(self, tmp_path, k_text):
-        text = MINIMAL + f"\n[sweep]\nk_values = {k_text}\n"
+    def run_sweep(self, tmp_path, k_text, text=MINIMAL):
+        text += f"\n[sweep]\nk_values = {k_text}\n"
         write_sweep_csv(tmp_path / "train.csv", n_docs=120, seed=1)
         return run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
 
@@ -628,24 +638,31 @@ class TestSweep:
         result = self.run_sweep(tmp_path, "1, 3")
         assert result.mode == "sweep"
         assert result.outcome is None
-        assert [row["k"] for row in result.sweep_rows] == [1, 3]
-        assert result.sweep_classes == ["Female", "Male"]
-        for row in result.sweep_rows:
-            assert 0.0 <= row["accuracy"] <= 1.0
-            for cls in ("Female", "Male"):
-                assert f"P:{cls}" in row and f"R:{cls}" in row and f"F:{cls}" in row
+        assert [k for k, _ in result.sweep] == [1, 3]
+        for _, out in result.sweep:
+            assert 0.0 <= out.class_report.accuracy <= 1.0
+            assert [scores.label for scores in out.class_report.per_class] == ["Female", "Male"]
 
     def test_rows_are_independent_sub_experiments(self, tmp_path):
         wide = self.run_sweep(tmp_path, "1, 3, 6")
         narrow = self.run_sweep(tmp_path, "3")
-        pick = {k: v for k, v in wide.sweep_rows[1].items() if k != "seconds"}
-        single = {k: v for k, v in narrow.sweep_rows[0].items() if k != "seconds"}
-        assert pick == single
+        (k_wide, pick), (k_narrow, single) = wide.sweep[1], narrow.sweep[0]
+        assert k_wide == k_narrow == 3
+        assert run_view(pick) == run_view(single)
+        assert pick.predictions == single.predictions
 
     def test_larger_chunks_mean_fewer_samples(self, tmp_path):
         result = self.run_sweep(tmp_path, "1, 4")
-        n = [row["n_train"] + row["n_test"] for row in result.sweep_rows]
+        n = [out.n_train + out.n_test for _, out in result.sweep]
         assert n[0] == 120 and n[1] == 30
+
+    def test_each_size_is_the_split_run_grouped_by_k(self, tmp_path):
+        text = MINIMAL.replace("task = gender", "task = gender\nsplit_seed = 4")
+        swept = self.run_sweep(tmp_path, "1, 3, 5", text)
+        for k, out in swept.sweep:
+            grouped = run_experiment(parse_config_text(
+                text.replace("language = es", f"language = es\ngrouping_k = {k}"), base_dir=str(tmp_path)))
+            assert run_view(out) == run_view(grouped.outcome), k
 
 
 class TestResultFiles:
@@ -712,8 +729,7 @@ class TestResultFiles:
         embedded config still hashes to its own `config_sha256`."""
         config = MINIMAL + "".join(f"# {comment}\n" for comment in comments)
         result = ExperimentResult(mode="split", task="gender", provenance={}, warnings=[],
-                                  outcome=None, sweep_rows=None, sweep_classes=None,
-                                  config_text=config, timings=[("total", 0.5)])
+                                  outcome=None, sweep=None, config_text=config, timings=[("total", 0.5)])
         extracted = extract_config(render_result(result))
         assert extracted == config
         assert hashlib.sha256(extracted.encode("utf-8")).digest() == \
