@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, StyloprofError
 from .experiment import (as_samples, load_rules_and_lexicon, parse_config_file,
                          predict_samples, prepare_corpus, render_result,
                          run_experiment, sample_counts, train_full, truth_rows)
-from .features import Vocabulary, build_vocabulary
+from .features import MIN_DF, Vocabulary, build_vocabulary
 from .learner import load_model, save_model
 from .metrics import confusion, render_report, render_trait_report, report, trait_rmse_report
 from .normalize import normalize
@@ -227,9 +227,9 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus-format", required=True, choices=FORMATS)
     p.add_argument("--corpus-path", required=True)
     p.add_argument("--language", required=True, choices=LANGUAGES)
-    p.add_argument("--grouping-k", type=int, default=None,
+    p.add_argument("--grouping-k", type=int, default=CorpusSpec.grouping_k,
                    help="pool flat-corpus documents into samples of this size")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=CorpusSpec.delimiter)
     p.add_argument("--rules", help="normalization rule file (default: built-in rules)")
     p.add_argument("--lexicon", help="fallback tagger lexicon file")
 
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="build and save an n-gram vocabulary from a corpus")
     _add_corpus_args(p)
-    p.add_argument("--min-df", type=int, default=2,
+    p.add_argument("--min-df", type=int, default=MIN_DF,
                    help="keep grams occurring in at least this many samples")
     p.add_argument("--vocab-out", required=True)
     p.set_defaults(func=_cmd_featurize)

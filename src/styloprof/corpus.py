@@ -167,6 +167,8 @@ class CorpusSpec:
     delimiter: str = ","
 
     def __post_init__(self):
+        if not self.path:
+            raise ConfigError("path must not be empty")
         if len(self.delimiter) != 1:
             raise ConfigError("delimiter must be a single character")
         if self.format not in FORMATS:
@@ -353,7 +355,7 @@ def load_flat_csv(spec: CorpusSpec) -> list[LabeledDocument]:
     return docs
 
 
-def save_flat_csv(docs: list[LabeledDocument], path: str, delimiter: str = ",") -> None:
+def save_flat_csv(docs: list[LabeledDocument], path: str, delimiter: str = CorpusSpec.delimiter) -> None:
     with open_text(path, "wt", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["id", "gender", "text"])

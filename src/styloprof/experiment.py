@@ -33,13 +33,13 @@ import hashlib
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .corpus import (CorpusSpec, Document, LabeledDocument, Sample, author_path,
                      group_into_samples, load_flat_csv, load_pan_truth_dir,
                      open_text, split_lines, stratified_split, truth_path, TRAIT_NAMES)
 from .errors import ConfigError, DataError
-from .features import (CHAR, LINEAR, LOG2, POS, FeatureKey, ScalingPolicy, Vocabulary,
+from .features import (CHAR, LINEAR, LOG2, MIN_DF, POS, FeatureKey, ScalingPolicy, Vocabulary,
                        build_vocabulary, char_ngrams, default_policy, pos_ngrams, vectorize)
 from .learner import ModelBundle, TrainConfig, _heads, predict, train_binary, train_ovr, train_traits
 from .metrics import (ClassReport, TraitReport, confusion, render_report,
@@ -49,8 +49,6 @@ from .pos import TaggedToken, fallback_tag, load_lexicon, relabel, simple_tokeni
 
 TASKS = ("gender", "age", "traits")
 RESULT_FORMAT = "styloprof-result-v1"
-
-_REQUIRED = object()
 
 
 # ---------------------------------------------------------------------------
@@ -77,32 +75,6 @@ class ExperimentConfig:
         return default_policy(self.train_corpus.language)
 
 
-class _Section:
-    """Tracks consumed keys so leftovers can be reported as unknown."""
-
-    def __init__(self, name: str, items: dict, errors: list):
-        self.name = name
-        self.items = dict(items)
-        self.errors = errors
-
-    def take(self, key: str, conv, default=_REQUIRED):
-        if key not in self.items:
-            if default is _REQUIRED:
-                self.errors.append(f"[{self.name}] missing required key {key!r}")
-                return None
-            return default
-        raw = self.items.pop(key).strip()
-        try:
-            return conv(raw)
-        except (ValueError, ConfigError) as exc:
-            self.errors.append(f"[{self.name}] {key} = {raw!r}: {exc}")
-            return None
-
-    def finish(self):
-        for key in self.items:
-            self.errors.append(f"[{self.name}] unknown key {key!r}")
-
-
 def _parse_scaling(raw: str) -> ScalingPolicy | None:
     if raw == "auto":
         return None
@@ -119,8 +91,6 @@ def _parse_k_values(raw: str) -> list[int]:
         if k < 1:
             raise ValueError(f"sample size {k} is not positive")
         values.append(k)
-    if not values:
-        raise ValueError("empty sample-size list")
     if len(set(values)) != len(values):
         raise ValueError("duplicate sample sizes")
     return values
@@ -140,83 +110,102 @@ def _fraction(raw: str) -> float:
     return value
 
 
-def _corpus_section(section: _Section, base_dir: str) -> CorpusSpec | None:
-    fmt = section.take("format", str)
-    path = section.take("path", str)
-    language = section.take("language", str)
-    grouping_k = section.take("grouping_k", _positive_int, default=None)
-    delimiter = section.take("delimiter", str, default=",")
-    section.finish()
-    if fmt is None or path is None or language is None:
-        return None
-    if not path:
-        section.errors.append(f"[{section.name}] path must not be empty")
+# a config dataclass field's annotation -> the reader of its value
+_READERS = {"str": str, "int": int, "int | None": int, "float": float}
+
+
+def _field_keys(cls) -> dict:
+    """The fields of CorpusSpec or TrainConfig as section keys, each read
+    by its annotated type, with the field's default; the class itself
+    checks the values."""
+    return {f.name: (_READERS[f.type], f.default) for f in fields(cls)}
+
+
+# section -> key -> (reader, default), MISSING for a required key
+_SECTIONS = {
+    "experiment": {
+        "task": (str, MISSING),
+        "train_fraction": (_fraction, 0.7),
+        "split_seed": (int, 0),
+        "min_df": (_positive_int, MIN_DF),
+        "scaling": (_parse_scaling, None),
+        "rules": (str, None),
+        "lexicon": (str, None),
+    },
+    "train_corpus": _field_keys(CorpusSpec),
+    "test_corpus": _field_keys(CorpusSpec),
+    "training": _field_keys(TrainConfig),
+    "sweep": {"k_values": (_parse_k_values, MISSING)},
+}
+
+
+def _read_section(parser, name: str, errors: list[str]) -> dict | None:
+    """Section `name` (empty when absent) read by its keys: every key's
+    value, or its default when the section leaves it out or the value
+    does not read; None when a required key is missing or does not read.
+    Each such problem and each unknown key goes to `errors`."""
+    items = dict(parser[name]) if name in parser else {}
+    values, complete = {}, True
+    for key, (reader, default) in _SECTIONS[name].items():
+        values[key] = default
+        if key not in items:
+            if default is MISSING:
+                errors.append(f"[{name}] missing required key {key!r}")
+                complete = False
+            continue
+        raw = items.pop(key).strip()
+        try:
+            values[key] = reader(raw)
+        except (ValueError, ConfigError) as exc:
+            errors.append(f"[{name}] {key} = {raw!r}: {exc}")
+            complete = complete and default is not MISSING
+    errors.extend(f"[{name}] unknown key {key!r}" for key in items)
+    return values if complete else None
+
+
+def _build(parser, name: str, errors: list[str], cls):
+    """cls(**values) from section `name`, or None when a required key is
+    missing or the class rejects a value; its error goes to `errors`
+    under the section's name."""
+    values = _read_section(parser, name, errors)
+    if values is None:
         return None
     try:
-        return CorpusSpec(format=fmt, path=os.path.join(base_dir, path),
-                          language=language, grouping_k=grouping_k, delimiter=delimiter)
-    except ConfigError as exc:
-        section.errors.append(f"[{section.name}] {exc}")
+        return cls(**values)
+    except (ConfigError, DataError) as exc:
+        errors.append(f"[{name}] {exc}")
         return None
 
 
 def parse_config_text(raw_text: str, base_dir: str = ".") -> ExperimentConfig:
-    """Parse and validate an experiment config, reporting every problem at
-    once.  Relative corpus paths resolve against `base_dir`."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """Parse and validate an experiment config.  Every value that does not
+    read, every unknown key or section and every cross-field conflict is
+    reported at once, with the first check that each corpus section and
+    [training] fails in CorpusSpec and TrainConfig.  Relative paths
+    resolve against `base_dir`."""
+    # no section name is empty, so [DEFAULT] is an ordinary (unknown) section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(raw_text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
 
-    errors: list[str] = []
-    known = {"experiment", "train_corpus", "test_corpus", "training", "sweep"}
-    for name in parser.sections():
-        if name not in known:
-            errors.append(f"unknown section [{name}]")
+    errors = [f"unknown section [{name}]" for name in parser.sections() if name not in _SECTIONS]
     for required in ("experiment", "train_corpus"):
         if required not in parser:
             errors.append(f"missing required section [{required}]")
     if errors and ("experiment" not in parser or "train_corpus" not in parser):
         raise ConfigError("invalid experiment config:\n  " + "\n  ".join(errors))
 
-    exp = _Section("experiment", parser["experiment"], errors)
-    task = exp.take("task", str)
-    split_fraction = exp.take("train_fraction", _fraction, default=0.7)
-    split_seed = exp.take("split_seed", int, default=0)
-    min_df = exp.take("min_df", _positive_int, default=2)
-    scaling = exp.take("scaling", _parse_scaling, default=None)
-    rules_path = exp.take("rules", str, default=None)
-    lexicon_path = exp.take("lexicon", str, default=None)
-    exp.finish()
+    exp = _read_section(parser, "experiment", errors)
+    task = exp["task"] if exp is not None else None
     if task is not None and task not in TASKS:
         errors.append(f"[experiment] task must be one of {TASKS}, got {task!r}")
-
-    train_corpus = _corpus_section(_Section("train_corpus", parser["train_corpus"], errors), base_dir)
-    test_corpus = None
-    if "test_corpus" in parser:
-        test_corpus = _corpus_section(_Section("test_corpus", parser["test_corpus"], errors), base_dir)
-
-    tr = _Section("training", parser["training"] if "training" in parser else {}, errors)
-    c_param = tr.take("c_param", float, default=1.0)
-    epochs = tr.take("epochs", _positive_int, default=50)
-    tolerance = tr.take("tolerance", float, default=1e-4)
-    train_seed = tr.take("seed", int, default=0)
-    epsilon = tr.take("epsilon", float, default=0.1)
-    tr.finish()
-    train_config = None
-    if None not in (c_param, epochs, tolerance, train_seed, epsilon):
-        try:
-            train_config = TrainConfig(c_param=c_param, epochs=epochs, tolerance=tolerance,
-                                       seed=train_seed, epsilon=epsilon)
-        except DataError as exc:
-            errors.append(f"[training] {exc}")
-
-    sweep_k = None
-    if "sweep" in parser:
-        sw = _Section("sweep", parser["sweep"], errors)
-        sweep_k = sw.take("k_values", _parse_k_values)
-        sw.finish()
+    train_corpus = _build(parser, "train_corpus", errors, CorpusSpec)
+    test_corpus = _build(parser, "test_corpus", errors, CorpusSpec) if "test_corpus" in parser else None
+    train_config = _build(parser, "training", errors, TrainConfig)
+    sweep = _read_section(parser, "sweep", errors) if "sweep" in parser else None
+    sweep_k = sweep["k_values"] if sweep is not None else None
 
     # cross-field rules
     if sweep_k is not None and test_corpus is not None:
@@ -236,12 +225,15 @@ def parse_config_text(raw_text: str, base_dir: str = ".") -> ExperimentConfig:
 
     if errors:
         raise ConfigError("invalid experiment config:\n  " + "\n  ".join(errors))
+    for spec in (train_corpus, test_corpus):
+        if spec is not None:
+            spec.path = os.path.join(base_dir, spec.path)
     return ExperimentConfig(
         task=task, train_corpus=train_corpus, test_corpus=test_corpus,
-        split_fraction=split_fraction, split_seed=split_seed, min_df=min_df,
-        scaling=scaling, train_config=train_config, sweep_k=sweep_k,
-        rules_path=os.path.join(base_dir, rules_path) if rules_path else None,
-        lexicon_path=os.path.join(base_dir, lexicon_path) if lexicon_path else None,
+        split_fraction=exp["train_fraction"], split_seed=exp["split_seed"], min_df=exp["min_df"],
+        scaling=exp["scaling"], train_config=train_config, sweep_k=sweep_k,
+        rules_path=os.path.join(base_dir, exp["rules"]) if exp["rules"] else None,
+        lexicon_path=os.path.join(base_dir, exp["lexicon"]) if exp["lexicon"] else None,
         raw_text=raw_text,
     )
 
@@ -514,6 +506,7 @@ def run_single(task: str, train_samples: list[Sample], test_samples: list[Sample
     if report_classes is None:
         report_classes = _first_appearance(_heads(bundle.model)[1] + truth)
     outcome.class_report = report(confusion(truth, pred, report_classes))
+    outcome.warnings.extend(outcome.class_report.warnings)
     return outcome
 
 

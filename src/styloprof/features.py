@@ -46,6 +46,8 @@ PAD = "_"
 LINEAR = "linear"
 LOG2 = "log2"
 
+MIN_DF = 2  # default document-frequency cut of a vocabulary
+
 
 class FeatureKey(NamedTuple):
     """A gram named with its channel, the gram a tuple of units.  Only
@@ -285,7 +287,7 @@ def _unescape_sequence(match: re.Match) -> str:
     return _UNESCAPES[match[1]]
 
 
-def build_vocabulary(samples: Iterable[tuple[Counter, Counter]], min_df: int = 2) -> Vocabulary:
+def build_vocabulary(samples: Iterable[tuple[Counter, Counter]], min_df: int = MIN_DF) -> Vocabulary:
     """Vocabulary of grams occurring in at least `min_df` distinct training
     samples, from (`char_ngrams`, `pos_ngrams`)-keyed count pairs.  Build
     from training data only."""

@@ -37,6 +37,9 @@ URL_PATTERN = r"https?://\S*"
 MENTION_PATTERN = r"@\w+"
 HASHTAG_PATTERN = r"#\w+"  # optional rule, not in the default set
 
+MENTION_MARKER = "@us"
+LINK_MARKER = "htt"
+
 
 @dataclass(frozen=True)
 class NormalizationRule:
@@ -81,8 +84,8 @@ def default_rules(language: str) -> list[NormalizationRule]:
     if language not in LANGUAGES:
         raise ConfigError(f"unsupported language {language!r}; expected one of {LANGUAGES}")
     return [
-        NormalizationRule("urls", URL_PATTERN, "htt"),
-        NormalizationRule("mentions", MENTION_PATTERN, "@us"),
+        NormalizationRule("urls", URL_PATTERN, LINK_MARKER),
+        NormalizationRule("mentions", MENTION_PATTERN, MENTION_MARKER),
     ]
 
 

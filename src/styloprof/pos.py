@@ -31,15 +31,13 @@ from typing import Mapping, NamedTuple
 
 from .corpus import open_text, read_lines, split_lines
 from .errors import DataError
+from .normalize import HASHTAG_PATTERN, LINK_MARKER, MENTION_MARKER
 
 REF_USERNAME = "REF@USERNAME"
 REF_LINK = "REF#LINK"
 REF_HASHTAG = "REF#HASHTAG"
 
-MENTION_MARKER = "@us"
-LINK_MARKER = "htt"
-
-_HASHTAG = re.compile(r"#\w+")
+_HASHTAG = re.compile(HASHTAG_PATTERN)
 _NUMERIC = re.compile(r"\d+(?:[.,]\d+)*")
 _MARKER_TAGS = {MENTION_MARKER: REF_USERNAME, LINK_MARKER: REF_LINK}
 

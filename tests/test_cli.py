@@ -543,6 +543,16 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_default_section_exits_2(self, tmp_path, capsys):
+        write_marker_csv(tmp_path / "train.csv", n_docs=40)
+        (tmp_path / "exp.ini").write_text("[DEFAULT]\nepochs = 5\n\n" + GENDER_CONFIG, encoding="utf-8")
+        code = main(["run", "--config", str(tmp_path / "exp.ini"),
+                     "--output", str(tmp_path / "result.txt")])
+        assert code == 2
+        assert "config error" in (err := capsys.readouterr().err)
+        assert "unknown section [DEFAULT]" in err
+        assert not (tmp_path / "result.txt").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.ini"),
                      "--output", str(tmp_path / "result.txt")])

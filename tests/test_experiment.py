@@ -3,6 +3,7 @@
 import gzip
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,7 +42,7 @@ from styloprof.experiment import (
 from styloprof.features import ScalingPolicy
 from styloprof.learner import TrainConfig
 from styloprof.normalize import default_rules, load_rules, normalize
-from styloprof.synthetic import write_marker_csv, write_sweep_csv
+from styloprof.synthetic import marker_corpus, write_marker_csv, write_sweep_csv
 
 from oracles import reference_as_samples, reference_prepare_corpus
 
@@ -227,6 +228,47 @@ k_values = 1, 2
         text = MINIMAL.replace("language = es", f"language = es\ndelimiter = {value}")
         with pytest.raises(ConfigError, match=r"\[train_corpus\] delimiter must be a single character"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("section,old,new,fragment", [
+        ("training", "[training]", "[training]\nc_param = 0", "c_param must be positive"),
+        ("training", "[training]", "[training]\nc_param = nan", "c_param must be finite"),
+        ("training", "[training]", "[training]\nepochs = 0", "epochs must be a positive integer, got 0"),
+        ("training", "[training]", "[training]\ntolerance = 0", "tolerance must be positive"),
+        ("training", "[training]", "[training]\nepsilon = -1", "epsilon must be non-negative"),
+        ("train_corpus", "language = es", "language = es\ngrouping_k = 0",
+         "grouping_k must be a positive integer, got 0"),
+        ("train_corpus", "format = FlatCsv", "format = Weird", "unknown corpus format 'Weird'"),
+        ("train_corpus", "language = es", "language = xx", "unsupported language 'xx'"),
+        ("train_corpus", "path = train.csv", "path =", "path must not be empty"),
+        ("test_corpus", "[training]", "[test_corpus]\nformat = FlatCsv\npath = t.csv\nlanguage = xx",
+         "unsupported language 'xx'"),
+    ])
+    def test_class_checks_name_their_section(self, section, old, new, fragment):
+        text = (MINIMAL + "\n[training]\n").replace(old, new)
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {fragment}")):
+            parse_config_text(text)
+
+    def test_defaults_are_the_classes_defaults(self):
+        cfg = parse_config_text(MINIMAL + "\n[test_corpus]\nformat = FlatCsv\npath = t.csv\nlanguage = es\n")
+        assert cfg.train_config == TrainConfig()
+        spec = CorpusSpec(format="FlatCsv", path="t.csv", language="es")
+        for corpus in (cfg.train_corpus, cfg.test_corpus):
+            assert (corpus.grouping_k, corpus.delimiter) == (spec.grouping_k, spec.delimiter)
+
+    def test_default_section_is_an_unknown_section(self):
+        text = "[DEFAULT]\nepochs = 5\n\n" + MINIMAL
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(text)
+        message = str(excinfo.value)
+        assert "unknown section [DEFAULT]" in message
+        assert "epochs" not in message
+
+    def test_readme_configs_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        assert blocks
+        for block in blocks:
+            parse_config_text(block)
 
     def test_ini_syntax_error(self):
         with pytest.raises(ConfigError, match="config syntax"):
@@ -502,6 +544,24 @@ language = en
         write_marker_csv(tmp_path / "test.csv", n_docs=6, seed=2)
         result = run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
         assert any("different languages" in w for w in result.warnings)
+
+    def test_cross_mode_keeps_the_class_report_warnings(self, tmp_path):
+        text = MINIMAL + """
+[test_corpus]
+format = FlatCsv
+path = test.csv
+language = es
+"""
+        write_marker_csv(tmp_path / "train.csv", n_docs=80)
+        save_flat_csv([d for d in marker_corpus(20, seed=3) if d.labels.gender == "Female"],
+                      tmp_path / "test.csv")
+        result = run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
+        report_warnings = result.outcome.class_report.warnings
+        assert any("class 'Male': no predictions" in w for w in report_warnings)
+        assert any("class 'Male': no true samples" in w for w in report_warnings)
+        lines = render_result(result).splitlines()
+        for warning in report_warnings:
+            assert f"warning\t{warning}" in lines
 
     def test_age_task_over_truth_dir(self, tmp_path):
         corpus = tmp_path / "pan"
