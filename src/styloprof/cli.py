@@ -18,9 +18,9 @@ import sys
 from .corpus import (FORMATS, LANGUAGES, TRAIT_MAX, TRAIT_MIN, TRAIT_NAMES, CorpusSpec, read_lines,
                      split_lines, write_lines)
 from .errors import ConfigError, DataError, StyloprofError
-from .experiment import (as_samples, load_rules_and_lexicon, parse_config_file,
+from .experiment import (TASKS, as_samples, batch_counts, load_rules_and_lexicon, parse_config_file,
                          predict_samples, prepare_corpus, render_result,
-                         run_experiment, sample_counts, train_full, truth_rows)
+                         run_experiment, train_full, truth_rows)
 from .features import MIN_DF, Vocabulary, build_vocabulary
 from .learner import load_model, save_model
 from .metrics import confusion, render_report, render_trait_report, report, trait_rmse_report
@@ -65,9 +65,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_featurize(args) -> int:
     samples = _prepared_samples(args)
-    windows: dict = {}
-    counts = [sample_counts(s, windows) for s in samples]
-    vocab = build_vocabulary(counts, min_df=args.min_df)
+    vocab = build_vocabulary(batch_counts(samples), min_df=args.min_df)
     vocab.save(args.vocab_out)
     print(f"vocabulary: {len(vocab)} keys ({len(vocab.char_grams)} char, {len(vocab.pos_grams)} pos) "
           f"from {len(samples)} sample(s) -> {args.vocab_out}")
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a predictions file against a truth file")
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--task", required=True, choices=("gender", "age", "traits"))
+    p.add_argument("--task", required=True, choices=tuple(TASKS))
     p.add_argument("--output", help="report path (default: stdout)")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -46,8 +46,9 @@ FORMATS = ("PanTruthDir", "FlatCsv")
 LANGUAGES = ("es", "en", "it", "nl")
 
 TRUTH_SEP = ":::"
-# an author id names files inside the truth dir, so it holds none of these
-_PATH_BREAKS = tuple(sep for sep in ("/", os.sep, os.altsep, "\0") if sep)
+# an author id names files inside the truth dir, so it holds none of these;
+# nor a tab, which ends the id in the prediction and truth files
+_ID_BREAKS = tuple(sep for sep in ("/", os.sep, os.altsep, "\0", "\t") if sep)
 _ABSENT_TOKENS = ("XX", "XX-XX")
 
 
@@ -236,8 +237,8 @@ def _parse_truth_line(line: str, where: str) -> tuple[str, LabelSet]:
     author_id = parts[0].strip()
     if not author_id:
         raise DataError(f"{where}: empty author id")
-    if any(bad in author_id for bad in _PATH_BREAKS):
-        raise DataError(f"{where}: author id {author_id!r} holds a path separator or NUL")
+    if any(bad in author_id for bad in _ID_BREAKS):
+        raise DataError(f"{where}: author id {author_id!r} holds a path separator, NUL or a tab")
     try:
         gender = parse_gender(parts[1])
         age_band = parse_age_band(parts[2])
@@ -248,13 +249,13 @@ def _parse_truth_line(line: str, where: str) -> tuple[str, LabelSet]:
         traits = {}
         for name, token in zip(TRAIT_NAMES, parts[3:]):
             try:
-                value = float(token)
+                traits[name] = float(token)
             except ValueError:
                 raise DataError(f"{where}: unparsable {name} trait value {token!r}") from None
-            if not (TRAIT_MIN <= value <= TRAIT_MAX):
-                raise DataError(f"{where}: trait {name} = {value} outside [{TRAIT_MIN}, {TRAIT_MAX}]")
-            traits[name] = value
-    return author_id, LabelSet(gender=gender, age_band=age_band, traits=traits)
+    try:
+        return author_id, LabelSet(gender=gender, age_band=age_band, traits=traits)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 def load_pan_truth_dir(spec: CorpusSpec) -> list[Sample]:
@@ -288,9 +289,9 @@ def save_pan_truth_dir(samples: list[Sample], dirpath: str) -> None:
     truth_lines = []
     for sample in samples:
         if (not sample.id or sample.id != sample.id.strip()
-                or any(bad in sample.id for bad in (TRUTH_SEP, "\n", "\r") + _PATH_BREAKS)):
+                or any(bad in sample.id for bad in (TRUTH_SEP, "\n", "\r") + _ID_BREAKS)):
             raise DataError(f"sample id {sample.id!r}: a truth dir cannot hold an empty id, "
-                            f"{TRUTH_SEP!r}, a line break, a path separator, NUL "
+                            f"{TRUTH_SEP!r}, a line break, a path separator, NUL, a tab "
                             f"or surrounding whitespace")
         labels = sample.labels
         if labels.gender is None:
@@ -403,27 +404,20 @@ def _class_tag(labels: LabelSet) -> str:
     return "|".join(parts)
 
 
-def _label_getter(key: str):
-    if key == "gender":
-        return lambda sample: sample.labels.gender
-    if key == "age_band":
-        return lambda sample: sample.labels.age_band
-    raise ConfigError(f"unknown stratification label {key!r}")
-
-
 def stratified_split(samples: list[Sample], train_fraction: float, seed: int,
                      key="gender") -> tuple[list[Sample], list[Sample]]:
-    """Per class, floor(train_fraction * n) samples go to train (at least
-    one when the class has two or more), chosen by a seeded shuffle.  The
-    returned lists keep the input order."""
+    """Per class of the label `key` (gender or age_band), floor(train_fraction
+    * n) samples go to train (at least one when the class has two or more),
+    chosen by a seeded shuffle.  The returned lists keep the input order."""
+    if key not in ("gender", "age_band"):
+        raise ConfigError(f"unknown stratification label {key!r}")
     if not (0.0 < train_fraction < 1.0):
         raise ConfigError(f"train fraction must lie in (0, 1), got {train_fraction}")
     if not samples:
         raise DataError("cannot split an empty sample list")
-    getter = _label_getter(key)
     by_class: dict[object, list[int]] = {}
     for index, sample in enumerate(samples):
-        label = getter(sample)
+        label = getattr(sample.labels, key)
         if label is None:
             raise DataError(f"sample {sample.id!r} lacks the stratification label")
         by_class.setdefault(label, []).append(index)

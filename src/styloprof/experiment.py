@@ -15,11 +15,15 @@ file's by class in chunks of `grouping_k`.  Three protocols are supported:
   sample size k, each regrouping the documents into samples of k, with
   its own split, vocabulary and model.
 
+Each task is learned by one model family and reads one label, as the
+`TASKS` table says; the config check, the split and the truth rows all
+read that table.
+
 Char n-grams are counted through one token -> windows dict
-(`features.char_ngrams`) per entry point: `run_experiment` makes one
-per call and shares it between training, test and every sweep size;
-`train_full`, `predict_samples` and `cli featurize` each make their own
-when called alone.  The dict is dropped when that call returns.
+(`features.char_ngrams`) per batch of samples (`batch_counts`): a run's
+training samples and its test samples each have their own, as do the
+samples `predict_samples` labels and those `cli featurize` counts.  The
+dict is dropped when the batch is counted.
 
 Result files carry enough provenance (config text and hash, corpus
 fingerprints, seeds, vocabulary hash) to re-run identically; wall-clock
@@ -34,6 +38,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple
 
 from .corpus import (CorpusSpec, Document, LabeledDocument, Sample, author_path,
                      group_into_samples, load_flat_csv, load_pan_truth_dir,
@@ -47,7 +52,17 @@ from .metrics import (ClassReport, TraitReport, confusion, render_report,
 from .normalize import default_rules, load_rules, normalize
 from .pos import TaggedToken, fallback_tag, load_lexicon, relabel, simple_tokenize
 
-TASKS = ("gender", "age", "traits")
+
+class Task(NamedTuple):
+    kind: str      # the model family that learns it: binary | ovr | traits
+    label: str     # the LabelSet attribute that model learns
+    split_by: str  # the LabelSet attribute a split stratifies by
+
+
+# the one place that names each task's model family, label and split
+TASKS = {"gender": Task("binary", "gender", "gender"),
+         "age": Task("ovr", "age_band", "age_band"),
+         "traits": Task("traits", "traits", "gender")}
 RESULT_FORMAT = "styloprof-result-v1"
 
 
@@ -62,17 +77,12 @@ class ExperimentConfig:
     split_fraction: float
     split_seed: int
     min_df: int
-    scaling: ScalingPolicy | None  # None means resolve from the train language
+    scaling: ScalingPolicy  # `auto` is resolved from the train language
     train_config: TrainConfig
     sweep_k: list[int] | None
     rules_path: str | None
     lexicon_path: str | None
     raw_text: str
-
-    def resolved_scaling(self) -> ScalingPolicy:
-        if self.scaling is not None:
-            return self.scaling
-        return default_policy(self.train_corpus.language)
 
 
 def _parse_scaling(raw: str) -> ScalingPolicy | None:
@@ -200,7 +210,7 @@ def parse_config_text(raw_text: str, base_dir: str = ".") -> ExperimentConfig:
     exp = _read_section(parser, "experiment", errors)
     task = exp["task"] if exp is not None else None
     if task is not None and task not in TASKS:
-        errors.append(f"[experiment] task must be one of {TASKS}, got {task!r}")
+        errors.append(f"[experiment] task must be one of {tuple(TASKS)}, got {task!r}")
     train_corpus = _build(parser, "train_corpus", errors, CorpusSpec)
     test_corpus = _build(parser, "test_corpus", errors, CorpusSpec) if "test_corpus" in parser else None
     train_config = _build(parser, "training", errors, TrainConfig)
@@ -217,11 +227,10 @@ def parse_config_text(raw_text: str, base_dir: str = ".") -> ExperimentConfig:
     if sweep_k is not None and train_corpus is not None and train_corpus.grouping_k is not None:
         errors.append("[train_corpus] grouping_k does not apply to a sample-size sweep, "
                       "which groups by each of [sweep] k_values")
-    for label, spec in (("train_corpus", train_corpus), ("test_corpus", test_corpus)):
-        if spec is None:
-            continue
-        if task in ("age", "traits") and spec.format == "FlatCsv":
-            errors.append(f"[{label}] the {task} task needs PanTruthDir corpora (flat files carry gender only)")
+    flat_ok = task not in TASKS or TASKS[task].label == "gender"
+    for name, spec in (("train_corpus", train_corpus), ("test_corpus", test_corpus)):
+        if spec is not None and spec.format == "FlatCsv" and not flat_ok:
+            errors.append(f"[{name}] the {task} task needs PanTruthDir corpora (flat files carry gender only)")
 
     if errors:
         raise ConfigError("invalid experiment config:\n  " + "\n  ".join(errors))
@@ -231,7 +240,8 @@ def parse_config_text(raw_text: str, base_dir: str = ".") -> ExperimentConfig:
     return ExperimentConfig(
         task=task, train_corpus=train_corpus, test_corpus=test_corpus,
         split_fraction=exp["train_fraction"], split_seed=exp["split_seed"], min_df=exp["min_df"],
-        scaling=exp["scaling"], train_config=train_config, sweep_k=sweep_k,
+        scaling=exp["scaling"] or default_policy(train_corpus.language),
+        train_config=train_config, sweep_k=sweep_k,
         rules_path=os.path.join(base_dir, exp["rules"]) if exp["rules"] else None,
         lexicon_path=os.path.join(base_dir, exp["lexicon"]) if exp["lexicon"] else None,
         raw_text=raw_text,
@@ -376,7 +386,7 @@ def sample_counts(sample: Sample, windows: dict | None = None) -> tuple[Counter,
     every document of a sample.  Tokens never span documents, so the
     char grams of the joined texts are the sum of each document's.
     `windows` is `char_ngrams`'s token -> windows dict, shared by the
-    caller across samples."""
+    caller across a batch of samples (`batch_counts`)."""
     chars = char_ngrams(" ".join(doc.text for doc in sample.documents), windows)
     tags: Counter = Counter()
     for doc in sample.documents:
@@ -384,6 +394,13 @@ def sample_counts(sample: Sample, windows: dict | None = None) -> tuple[Counter,
         # key by key in Python
         tags.update(pos_ngrams(list(doc.pos_tags)).elements())
     return chars, tags
+
+
+def batch_counts(samples: list[Sample]) -> list[tuple[Counter, Counter]]:
+    """`sample_counts` of every sample, counted through one token ->
+    windows dict of the batch's own."""
+    windows: dict = {}
+    return [sample_counts(s, windows) for s in samples]
 
 
 def extract_counts(sample: Sample) -> tuple[Counter, Counter]:
@@ -412,17 +429,10 @@ def _first_appearance(values) -> list:
     return list(dict.fromkeys(values))
 
 
-_MODEL_KIND = {"gender": "binary", "age": "ovr", "traits": "traits"}
-
-# model kind -> the label it learns: LabelSet attribute, name in messages
-_LABELS = {"binary": ("gender", "gender"), "ovr": ("age_band", "age band"),
-           "traits": ("traits", "traits")}
-
-
 def _train_task(task: str, X, train_samples: list[Sample], tc: TrainConfig,
                 policy: ScalingPolicy, vocab_hash: str, warnings: list[str]) -> ModelBundle:
     """Fit the task's model; warns when submodels stopped at the epoch cap."""
-    kind = _MODEL_KIND[task]
+    kind = TASKS[task].kind
     labels = [value for _, value in truth_rows(kind, train_samples)]
     if kind == "binary":
         classes = _first_appearance(labels)
@@ -439,7 +449,7 @@ def _train_task(task: str, X, train_samples: list[Sample], tc: TrainConfig,
     if capped:
         warnings.append(f"{capped} of {len(converged)} submodels stopped at the epoch cap "
                         f"({tc.epochs} epochs) before reaching tolerance {tc.tolerance!r}")
-    return ModelBundle(kind=kind, vocab_hash=vocab_hash, policy=policy, config=tc, model=model)
+    return ModelBundle(vocab_hash=vocab_hash, policy=policy, config=tc, model=model)
 
 
 def predict_one(bundle: ModelBundle, X):
@@ -448,13 +458,10 @@ def predict_one(bundle: ModelBundle, X):
     return predict(bundle.model, X)
 
 
-def predict_samples(bundle: ModelBundle, vocab: Vocabulary, samples: list[Sample],
-                    windows: dict | None = None) -> list[tuple]:
+def predict_samples(bundle: ModelBundle, vocab: Vocabulary, samples: list[Sample]) -> list[tuple]:
     """(sample id, label, margin) per sample for classifiers, (sample id,
-    trait->value dict) for regressors.  Without `windows`, the samples
-    share a token -> windows dict of their own."""
-    windows = {} if windows is None else windows
-    X = vectorize([sample_counts(s, windows) for s in samples], vocab, bundle.policy)
+    trait->value dict) for regressors."""
+    X = vectorize(batch_counts(samples), vocab, bundle.policy)
     predictions = predict_one(bundle, X)
     if bundle.kind == "traits":
         return [(s.id, values) for s, values in zip(samples, predictions)]
@@ -463,21 +470,21 @@ def predict_samples(bundle: ModelBundle, vocab: Vocabulary, samples: list[Sample
 
 def truth_rows(kind: str, samples: list[Sample]) -> list[tuple]:
     """(sample id, label) per sample, the label a model of `kind` learns."""
-    attribute, name = _LABELS[kind]
+    attribute = next(task.label for task in TASKS.values() if task.kind == kind)
     rows = []
     for sample in samples:
         value = getattr(sample.labels, attribute)
         if value is None:
-            raise DataError(f"sample {sample.id!r} lacks a {name} label")
+            raise DataError(f"sample {sample.id!r} lacks a {attribute.replace('_', ' ')} label")
         rows.append((sample.id, value))
     return rows
 
 
 def _fit(task: str, samples: list[Sample], policy: ScalingPolicy, min_df: int, tc: TrainConfig,
-         warnings: list[str], windows: dict) -> tuple[Vocabulary, ModelBundle]:
+         warnings: list[str]) -> tuple[Vocabulary, ModelBundle]:
     """Counts, vocabulary, one matrix and the task's model, from training
     samples only."""
-    counts = [sample_counts(s, windows) for s in samples]
+    counts = batch_counts(samples)
     vocab = build_vocabulary(counts, min_df=min_df)
     X = vectorize(counts, vocab, policy)
     return vocab, _train_task(task, X, samples, tc, policy, vocab.content_hash(), warnings)
@@ -485,18 +492,16 @@ def _fit(task: str, samples: list[Sample], policy: ScalingPolicy, min_df: int, t
 
 def run_single(task: str, train_samples: list[Sample], test_samples: list[Sample],
                policy: ScalingPolicy, min_df: int, tc: TrainConfig,
-               report_classes: list | None = None, windows: dict | None = None) -> RunOutcome:
-    """Fit on the training samples and score the test samples, both
-    counted through one token -> windows dict (`windows`, else a new one)."""
+               report_classes: list | None = None) -> RunOutcome:
+    """Fit on the training samples and score the test samples."""
     warnings: list[str] = []
-    windows = {} if windows is None else windows
-    vocab, bundle = _fit(task, train_samples, policy, min_df, tc, warnings, windows)
+    vocab, bundle = _fit(task, train_samples, policy, min_df, tc, warnings)
     outcome = RunOutcome(bundle=bundle, n_train=len(train_samples),
                          n_test=len(test_samples), warnings=warnings,
-                         predictions=predict_samples(bundle, vocab, test_samples, windows))
+                         predictions=predict_samples(bundle, vocab, test_samples))
     truth = [value for _, value in truth_rows(bundle.kind, test_samples)]
 
-    if task == "traits":
+    if bundle.kind == "traits":
         outcome.trait_report = trait_rmse_report(
             {name: [values[name] for _, values in outcome.predictions] for name in TRAIT_NAMES},
             {name: [values[name] for values in truth] for name in TRAIT_NAMES})
@@ -517,12 +522,8 @@ def train_full(cfg: ExperimentConfig):
     rules, lexicon = load_rules_and_lexicon(cfg.rules_path, cfg.lexicon_path, cfg.train_corpus.language)
     prepared = prepare_corpus(cfg.train_corpus, rules, lexicon, warnings)
     samples = as_samples(prepared)
-    vocab, bundle = _fit(cfg.task, samples, cfg.resolved_scaling(), cfg.min_df,
-                         cfg.train_config, warnings, {})
+    vocab, bundle = _fit(cfg.task, samples, cfg.scaling, cfg.min_df, cfg.train_config, warnings)
     return vocab, bundle, len(samples), warnings
-
-
-_SPLIT_KEY = {"gender": "gender", "age": "age_band", "traits": "gender"}
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +546,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     size of the sweep, or a single one in split and cross mode.  Each
     run groups the training corpus's documents (by `k` in a sweep, else
     as prepared), splits them, or in cross mode scores the whole test
-    corpus, and fits a vocabulary and model of its own.  All runs share
-    one token -> windows dict."""
+    corpus, and fits a vocabulary and model of its own."""
     warnings: list[str] = []
     timings: list[tuple[str, float]] = []
     rules, lexicon = load_rules_and_lexicon(cfg.rules_path, cfg.lexicon_path, cfg.train_corpus.language)
@@ -563,7 +563,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         test_prepared = prepare_corpus(cfg.test_corpus, test_rules, lexicon, warnings)
     timings.append(("load_and_process", time.perf_counter() - t0))
 
-    policy = cfg.resolved_scaling()
+    policy = cfg.scaling
     provenance = {
         "task": cfg.task,
         "config_sha256": hashlib.sha256(cfg.raw_text.encode("utf-8")).hexdigest(),
@@ -583,20 +583,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         provenance["test_corpus_sha256"] = test_prepared.fingerprint
         provenance["test_pos_source"] = test_prepared.pos_source
 
-    windows: dict = {}
     runs: list[tuple[int | None, RunOutcome]] = []
     for k in cfg.sweep_k or [None]:
         t0 = time.perf_counter()
         samples = as_samples(train_prepared, k)
         if test_prepared is None:
             train_samples, test_samples = stratified_split(samples, cfg.split_fraction,
-                                                           cfg.split_seed, key=_SPLIT_KEY[cfg.task])
+                                                           cfg.split_seed, key=TASKS[cfg.task].split_by)
         else:
             train_samples, test_samples = samples, as_samples(test_prepared)
         # a sweep reports every size over the corpus's classes, so its columns line up
         classes = None if k is None else _first_appearance(s.labels.gender for s in samples)
         outcome = run_single(cfg.task, train_samples, test_samples, policy, cfg.min_df,
-                             cfg.train_config, report_classes=classes, windows=windows)
+                             cfg.train_config, report_classes=classes)
         timings.append(("features_train_evaluate" if k is None else f"sweep_k{k}",
                         time.perf_counter() - t0))
         warnings.extend(w if k is None else f"sample size {k}: {w}" for w in outcome.warnings)

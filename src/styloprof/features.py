@@ -5,8 +5,8 @@ with a single ``_`` on each side, and all windows of orders 1 to 3 are
 emitted except windows made of pad marks only.  For ``self-defense``
 this yields 12 unigrams, 13 bigrams and 12 trigrams.  `char_ngrams` takes
 an optional dict from token to windows, which the caller owns: pass one
-dict to every call over a corpus and each distinct token is windowed
-once.
+dict to every call over a batch of samples, as `experiment.batch_counts`
+does, and each distinct token of the batch is windowed once.
 
 POS n-grams: plain windows of orders 1 to 3 over the unpadded tag stream.
 

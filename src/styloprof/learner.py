@@ -38,12 +38,14 @@ permutations and nothing else.
 Every model is k linear heads, as LIBLINEAR stores its models (Fan et
 al., JMLR 2008): one (bias, weights) pair per head, one head for a
 binary model's two labels, one per class for one-vs-rest and one per
-trait for regression.  `_heads` gives that layout, and `_model`, the one
+trait for regression.  `_heads` gives that layout with the model's kind
+(binary, ovr or traits), its only name in memory, and `_model`, the one
 constructor behind the trainers and `load_model`, builds a model from
-it; the training config is kept once, in `ModelBundle.config`.  A model
-file holds the header lines (kind, `vocab_hash`, `policy`, `config`,
-`dim`), the labels line (`labels`, `classes` or `traits`), then a
-`bias` and a `weights` line per head.
+it; the training config is kept once, in `ModelBundle.config`, and the
+kind is read off the model.  A model file holds the header lines (kind,
+`vocab_hash`, `policy`, `config`, `dim`), the labels line, then a `bias`
+and a `weights` line per head.  Only `save_model` and `load_model` know
+the labels line's tag, `labels`, `classes` or `traits` by the kind.
 
 Every family trains on and predicts from one `SparseMatrix`, the
 compressed sparse rows `features.vectorize` builds.  `margins` computes
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -133,32 +135,32 @@ class _Head(NamedTuple):
 
 
 def _heads(model) -> tuple[str, list, list[_Head]]:
-    """Every model as k linear heads: the tag of its labels line, its
-    labels and its heads in file order.  A binary model has one head for
-    its positive and negative label, a one-vs-rest model one per class
-    and a trait regressor one per trait.  `_model` is the inverse."""
+    """Every model as k linear heads: its kind (binary | ovr | traits),
+    its labels and its heads in file order.  A binary model has one head
+    for its positive and negative label, a one-vs-rest model one per
+    class and a trait regressor one per trait.  `_model` is the inverse."""
     if isinstance(model, TraitRegressor):
         return "traits", list(TRAIT_NAMES), [
             _Head(model.weights[name], model.biases[name], model.epoch_objectives.get(name, ()),
                   model.converged.get(name)) for name in TRAIT_NAMES]
     if isinstance(model, OneVsRestModel):
-        return "classes", model.classes, [_heads(sub)[2][0] for sub in model.models]
-    return "labels", [model.label_positive, model.label_negative], [
+        return "ovr", model.classes, [_heads(sub)[2][0] for sub in model.models]
+    return "binary", [model.label_positive, model.label_negative], [
         _Head(model.weights, model.bias, model.epoch_objectives, model.converged)]
 
 
-def _model(tag: str, labels: Sequence, heads: Sequence[_Head]):
+def _model(kind: str, labels: Sequence, heads: Sequence[_Head]):
     """The one constructor behind the trainers and `load_model`: the model
-    whose labels line has `tag` and `labels`, with `heads` in file order."""
-    if tag == "labels":
+    of `kind` with `labels` and `heads` in file order."""
+    if kind == "binary":
         (head,) = heads
         positive, negative = labels
         return LinearModel(weights=head.weights, bias=head.bias, label_positive=positive,
                            label_negative=negative, epoch_objectives=list(head.objectives),
                            converged=head.converged)
-    if tag == "classes":
+    if kind == "ovr":
         return OneVsRestModel(classes=list(labels), models=[
-            _model("labels", (cls, REST_LABEL), [head]) for cls, head in zip(labels, heads)])
+            _model("binary", (cls, REST_LABEL), [head]) for cls, head in zip(labels, heads)])
     if tuple(labels) != TRAIT_NAMES:
         raise DataError(f"unexpected trait list {tuple(labels)}")
     named = dict(zip(labels, heads))
@@ -374,7 +376,7 @@ def train_binary(X: SparseMatrix, y: Sequence[int], cfg: TrainConfig,
     signs = [int(label) for label in y]
     if len(set(signs)) < 2:
         raise DataError("training data contains a single class; both classes are required")
-    return _model("labels", (label_positive, label_negative),
+    return _model("binary", (label_positive, label_negative),
                   [_fit_hinge(_prepare(X, cfg.epochs), signs, cfg)])
 
 
@@ -387,8 +389,8 @@ def train_ovr(X: SparseMatrix, y: Sequence, cfg: TrainConfig) -> OneVsRestModel:
     if len(classes) < 2:
         raise DataError("one-vs-rest training needs at least two distinct classes")
     form = _prepare(X, cfg.epochs)
-    return _model("classes", classes, [_fit_hinge(form, [1 if label == cls else -1 for label in y], cfg)
-                                       for cls in classes])
+    return _model("ovr", classes, [_fit_hinge(form, [1 if label == cls else -1 for label in y], cfg)
+                                   for cls in classes])
 
 
 def _target_rows(targets: Sequence[Mapping]) -> list[dict[str, float]]:
@@ -424,13 +426,13 @@ def predict(model, X: SparseMatrix) -> list:
     class; (class, margin) of the first class with the largest margin for
     one-vs-rest; a trait -> value dict, each clamped to the trait range,
     for a regressor.  Margins and values are Python floats."""
-    tag, labels, heads = _heads(model)
+    kind, labels, heads = _heads(model)
     # np.stack would copy a binary model's one weight vector on every call
     weights = heads[0].weights if len(heads) == 1 else np.stack([head.weights for head in heads])
     values = margins(X, weights, [head.bias for head in heads])
-    if tag == "traits":
+    if kind == "traits":
         return [dict(zip(labels, row)) for row in np.clip(values, TRAIT_MIN, TRAIT_MAX).tolist()]
-    if tag == "classes":
+    if kind == "ovr":
         return [(labels[best], top)
                 for best, top in zip(values.argmax(axis=1).tolist(), values.max(axis=1).tolist())]
     positive, negative = labels
@@ -442,17 +444,19 @@ def predict(model, X: SparseMatrix) -> list:
 
 @dataclass
 class ModelBundle:
-    kind: str  # binary | ovr | traits
     vocab_hash: str
     policy: ScalingPolicy
     config: TrainConfig
     model: object
 
+    @property
+    def kind(self) -> str:
+        """The model's family: binary | ovr | traits."""
+        return _heads(self.model)[0]
+
 
 # model kind -> the tag of its labels line in a model file
 _LABELS_TAG = {"binary": "labels", "ovr": "classes", "traits": "traits"}
-# the config line's keys, in the order save_model writes them
-_CONFIG_KEYS = ("c_param", "epochs", "tolerance", "seed", "epsilon")
 
 
 def _encode_label(label) -> str:
@@ -505,22 +509,17 @@ def _parse_finite(token: str, what: str) -> float:
 
 
 def save_model(bundle: ModelBundle, path) -> None:
-    """The header, the training config, `dim`, the labels line, then a
-    `bias` and a `weights` line per head (`_heads`)."""
-    if bundle.kind not in _LABELS_TAG:
-        raise DataError(f"unknown model kind {bundle.kind!r}")
-    tag, labels, heads = _heads(bundle.model)
-    if tag != _LABELS_TAG[bundle.kind]:
-        raise DataError(f"a {bundle.kind!r} bundle cannot hold a {type(bundle.model).__name__}")
-    cfg = bundle.config
+    """The header with the model's kind, the training config (one
+    `name=value` field per `TrainConfig` field), `dim`, the labels line,
+    then a `bias` and a `weights` line per head (`_heads`)."""
+    kind, labels, heads = _heads(bundle.model)
     lines = [
-        f"{MODEL_FORMAT}\t{bundle.kind}",
+        f"{MODEL_FORMAT}\t{kind}",
         f"vocab_hash\t{bundle.vocab_hash or '-'}",
         f"policy\t{bundle.policy.char_scale}\t{bundle.policy.pos_scale}",
-        (f"config\tc_param={cfg.c_param!r}\tepochs={cfg.epochs}"
-         f"\ttolerance={cfg.tolerance!r}\tseed={cfg.seed}\tepsilon={cfg.epsilon!r}"),
+        "\t".join(["config", *(f"{f.name}={getattr(bundle.config, f.name)!r}" for f in fields(TrainConfig))]),
         f"dim\t{heads[0].weights.shape[0]}",
-        "\t".join([tag, *(labels if tag == "traits" else map(_encode_label, labels))]),
+        "\t".join([_LABELS_TAG[kind], *(labels if kind == "traits" else map(_encode_label, labels))]),
     ]
     for head in heads:
         lines.append(f"bias\t{head.bias!r}")
@@ -565,11 +564,11 @@ def load_model(path, expected_vocab_hash: str | None = None) -> ModelBundle:
     if char_scale not in (LINEAR, LOG2) or pos_scale not in (LINEAR, LOG2):
         raise DataError(f"{path}: unknown scaling in policy line")
     policy = ScalingPolicy(char_scale, pos_scale)
-    cfg_fields = reader.take("config")
+    names = fields(TrainConfig)
     try:
-        c_param, epochs, tolerance, seed, epsilon = key_values(cfg_fields, _CONFIG_KEYS)
-        cfg = TrainConfig(c_param=float(c_param), epochs=int(epochs), tolerance=float(tolerance),
-                          seed=int(seed), epsilon=float(epsilon))
+        values = key_values(reader.take("config"), [f.name for f in names])
+        # every field's default has the field's type
+        cfg = TrainConfig(**{f.name: type(f.default)(value) for f, value in zip(names, values)})
     except (DataError, ValueError) as exc:
         raise DataError(f"{path}: malformed config line: {exc}") from None
     (dim_token,) = reader.take("dim", 1)
@@ -589,18 +588,18 @@ def load_model(path, expected_vocab_hash: str | None = None) -> ModelBundle:
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
 
-    tag = _LABELS_TAG[kind]
-    # a binary model's positive and negative label share its one head
-    tokens = reader.take(tag, 2 if tag == "labels" else None)
-    labels = tokens if tag == "traits" else [_decode_label(token) for token in tokens]
-    heads = [read_head() for _ in range(1 if tag == "labels" else len(labels))]
+    # the labels line's tag must be the one the header's kind writes; a
+    # binary model's positive and negative label share its one head
+    tokens = reader.take(_LABELS_TAG[kind], 2 if kind == "binary" else None)
+    labels = tokens if kind == "traits" else [_decode_label(token) for token in tokens]
+    heads = [read_head() for _ in range(1 if kind == "binary" else len(labels))]
     try:
-        model = _model(tag, labels, heads)
+        model = _model(kind, labels, heads)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     if reader.pos != len(lines):
         raise DataError(f"{path}: trailing content after model body")
-    bundle = ModelBundle(kind=kind, vocab_hash=vocab_hash, policy=policy, config=cfg, model=model)
+    bundle = ModelBundle(vocab_hash=vocab_hash, policy=policy, config=cfg, model=model)
     if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
         raise DataError(f"{path}: model was trained against vocabulary {vocab_hash[:12]}…, "
                         f"expected {expected_vocab_hash[:12]}…")

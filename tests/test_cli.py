@@ -4,8 +4,9 @@ import gzip
 
 import pytest
 
-from styloprof.cli import main
+from styloprof.cli import build_parser, main
 from styloprof.corpus import Document, LabelSet, Sample, save_pan_truth_dir
+from styloprof.experiment import TASKS
 from styloprof.features import Vocabulary
 from styloprof.learner import load_model
 from styloprof.normalize import default_rules, normalize
@@ -276,6 +277,31 @@ class TestTrainPredictEvaluate:
         assert len(exact) == 1
         assert float(exact[0].split("\t")[1]) >= 0.95
 
+    def test_truth_dir_predictions_evaluate(self, tmp_path, capsys):
+        """What `predict --truth-out` writes for a truth dir, `evaluate` reads."""
+        train_gender_model(tmp_path)
+        write_truth_dir(tmp_path / "pan")
+        code = main(["predict", "--model", str(tmp_path / "m.model"), "--vocab", str(tmp_path / "m.vocab"),
+                     "--corpus-format", "PanTruthDir", "--corpus-path", str(tmp_path / "pan"),
+                     "--language", "es", "--output", str(tmp_path / "p.tsv"),
+                     "--truth-out", str(tmp_path / "t.tsv")])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "t.tsv").read_text(encoding="utf-8").splitlines()[0] == "a0\tFemale"
+        code = main(["evaluate", "--predictions", str(tmp_path / "p.tsv"),
+                     "--truth", str(tmp_path / "t.tsv"), "--task", "gender"])
+        assert code == 0, capsys.readouterr().err
+        assert "accuracy_exact\t" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("task", [*TASKS, "sentiment"])
+    def test_evaluate_task_choices_are_the_task_table(self, task, capsys):
+        argv = ["evaluate", "--predictions", "p.tsv", "--truth", "t.tsv", "--task", task]
+        if task in TASKS:
+            assert build_parser().parse_args(argv).task == task
+            return
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert f"invalid choice: {task!r}" in capsys.readouterr().err
+
     def test_evaluate_to_stdout(self, tmp_path, capsys):
         (tmp_path / "p.tsv").write_text("a\tF\t1.0\nb\tM\t-2.0\n", encoding="utf-8")
         (tmp_path / "t.tsv").write_text("a\tF\nb\tF\n", encoding="utf-8")
@@ -535,6 +561,19 @@ class TestRunCommand:
         assert code == 2
         assert "grouping_k does not apply to a sample-size sweep" in capsys.readouterr().err
         assert not (tmp_path / "result.txt").exists()
+
+    def test_tab_in_author_id_exits_3(self, tmp_path, capsys):
+        write_truth_dir(tmp_path / "pan")
+        with open(tmp_path / "pan" / "truth.txt", "a", encoding="utf-8") as fh:
+            fh.write("au\tthor0:::M:::XX\n")
+        (tmp_path / "pan" / "au\tthor0.txt").write_text("hola\n", encoding="utf-8")
+        (tmp_path / "exp.ini").write_text(GENDER_CONFIG.replace("FlatCsv", "PanTruthDir")
+                                          .replace("train.csv", "pan"), encoding="utf-8")
+        code = main(["run", "--config", str(tmp_path / "exp.ini"), "--output", str(tmp_path / "r.txt")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and "author id 'au\\tthor0' holds a path separator" in err
+        assert not (tmp_path / "r.txt").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         (tmp_path / "exp.ini").write_text("[experiment]\ntask = gender\n", encoding="utf-8")

@@ -198,8 +198,11 @@ class TestPanTruthDir:
         ("../pepe:::M:::XX", "path separator"),
         ("sub/pepe:::M:::XX", "path separator"),
         ("pe\x00pe:::M:::XX", "path separator"),
+        ("pe\tpe:::M:::XX", "author id 'pe\\\\tpe' holds a path separator, NUL or a tab"),
         ("pepe:::M:::XX:::a:::0:::0:::0:::0", "E trait"),
         ("pepe:::M:::XX:::0.9:::0:::0:::0:::0", "outside"),
+        ("pepe:::M:::XX:::0:::0:::0.7:::0:::0", r"truth.txt:1: trait A = 0.7 outside \[-0.5, 0.5\]"),
+        ("pepe:::M:::XX:::0:::nan:::0:::0:::0", r"truth.txt:1: trait N = nan outside"),
     ])
     def test_bad_truth_lines(self, tmp_path, line, fragment):
         self.write_minimal(tmp_path, [line], {"pepe": ["hola"]})
@@ -229,7 +232,7 @@ class TestPanTruthDir:
             save_pan_truth_dir([sample], str(tmp_path / "out"))
 
     @pytest.mark.parametrize("bad_id", ["", "a:::b", "a\nb", "a\r", " a", "a\t",
-                                        "../esc", "sub/x", "a\x00b"])
+                                        "../esc", "sub/x", "a\x00b", "au\tthor0"])
     def test_save_rejects_ids_it_cannot_read_back(self, tmp_path, bad_id):
         good = Sample(id="good", documents=[Document("good:0", "hola")], labels=LabelSet(gender="Male"))
         bad = Sample(id=bad_id, documents=[Document(f"{bad_id}:0", "hola")], labels=LabelSet(gender="Male"))

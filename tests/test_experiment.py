@@ -91,7 +91,7 @@ class TestParseConfig:
         assert cfg.split_fraction == 0.7
         assert cfg.split_seed == 0
         assert cfg.min_df == 2
-        assert cfg.scaling is None
+        assert cfg.scaling == ("linear", "log2")  # auto, for es
         assert cfg.sweep_k is None
         assert cfg.test_corpus is None
         tc = cfg.train_config
@@ -111,13 +111,14 @@ class TestParseConfig:
         text = MINIMAL.replace("task = gender", "task = gender\nscaling = log2, linear")
         cfg = parse_config_text(text)
         assert cfg.scaling == ("log2", "linear")
-        assert cfg.resolved_scaling() == ("log2", "linear")
 
     def test_auto_scaling_follows_train_language(self):
         cfg = parse_config_text(MINIMAL)
-        assert cfg.resolved_scaling() == ("linear", "log2")
+        assert cfg.scaling == ("linear", "log2")
         cfg_en = parse_config_text(MINIMAL.replace("language = es", "language = en"))
-        assert cfg_en.resolved_scaling() == ("linear", "linear")
+        assert cfg_en.scaling == ("linear", "linear")
+        explicit = parse_config_text(MINIMAL.replace("task = gender", "task = gender\nscaling = auto"))
+        assert explicit.scaling == ("linear", "log2")
 
     def test_all_problems_reported_at_once(self):
         text = """\
@@ -222,6 +223,22 @@ k_values = 1, 2
     def test_age_and_traits_need_truth_dirs(self, task):
         with pytest.raises(ConfigError, match="needs PanTruthDir"):
             parse_config_text(MINIMAL.replace("task = gender", f"task = {task}"))
+
+    @pytest.mark.parametrize("task", list(experiment.TASKS))
+    def test_flat_corpora_serve_the_tasks_that_learn_gender(self, task):
+        """Flat files carry gender only: a task may read one exactly when
+        the task table says its model learns gender; a truth dir serves
+        every task."""
+        text = MINIMAL.replace("task = gender", f"task = {task}")
+        cross = text + "\n[test_corpus]\nformat = FlatCsv\npath = test.csv\nlanguage = es\n"
+        if experiment.TASKS[task].label == "gender":
+            assert parse_config_text(cross).task == task
+        else:
+            with pytest.raises(ConfigError) as info:
+                parse_config_text(cross)
+            for section in ("train_corpus", "test_corpus"):
+                assert f"[{section}] the {task} task needs PanTruthDir corpora" in str(info.value)
+        assert parse_config_text(text.replace("FlatCsv", "PanTruthDir")).task == task
 
     @pytest.mark.parametrize("value", [";;", ""])
     def test_delimiter_must_be_one_character(self, value):
@@ -636,6 +653,18 @@ language = es
         assert truth_rows(kind, samples[:1])[0][0] == "s0"
         with pytest.raises(DataError, match=f"sample 's1' lacks a {name} label"):
             truth_rows(kind, samples)
+
+    @pytest.mark.parametrize("task", list(experiment.TASKS))
+    def test_each_task_runs_the_tables_kind_and_label(self, task):
+        kind, label, split_by = experiment.TASKS[task]
+        samples = [Sample(f"s{i}", [Document(f"s{i}:0", f"w{i % 2} x{i}", ("N",))],
+                          LabelSet(gender=("Female", "Male")[i % 2], age_band=AGE_BANDS[i % 2],
+                                   traits=dict.fromkeys(TRAIT_NAMES, 0.2 * (i % 2) - 0.1)))
+                   for i in range(6)]
+        outcome = run_single(task, samples, samples, ScalingPolicy("linear", "linear"), 1, TrainConfig())
+        assert outcome.bundle.kind == kind
+        assert truth_rows(kind, samples) == [(s.id, getattr(s.labels, label)) for s in samples]
+        assert split_by in ("gender", "age_band")
 
     def test_train_full_skips_split(self, tmp_path):
         cfg = config_for(tmp_path, n_docs=30)

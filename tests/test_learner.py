@@ -354,8 +354,7 @@ def fit_binary_bundle(vocab_hash="h" * 64):
     y = [1, 1, -1, -1]
     model = train_binary(X, y, TrainConfig(), label_positive="Female",
                          label_negative="Male")
-    return ModelBundle(kind="binary", vocab_hash=vocab_hash,
-                       policy=ScalingPolicy("linear", "log2"),
+    return ModelBundle(vocab_hash=vocab_hash, policy=ScalingPolicy("linear", "log2"),
                        config=TrainConfig(), model=model)
 
 
@@ -381,11 +380,12 @@ class TestModelFiles:
         X = dense([2, 0], [2.5, 0], [0, 2], [0, 2.5])
         y = ["18-24", "18-24", "25-34", "25-34"]
         model = train_ovr(X, y, tight())
-        bundle = ModelBundle(kind="ovr", vocab_hash="", policy=ScalingPolicy("linear", "linear"),
+        bundle = ModelBundle(vocab_hash="", policy=ScalingPolicy("linear", "linear"),
                              config=tight(), model=model)
         path = tmp_path / "m.model"
         save_model(bundle, path)
         loaded = load_model(path)
+        assert loaded.kind == "ovr"
         assert loaded.vocab_hash == ""
         assert loaded.model.classes == model.classes
         X = self.random_inputs(2)
@@ -399,12 +399,12 @@ class TestModelFiles:
         X = matrix_from_rows([{j: rng.uniform(-1, 1) for j in range(3)} for _ in range(8)], 3)
         targets = [dict.fromkeys("ENACO", round(rng.uniform(-0.4, 0.4), 2)) for _ in range(8)]
         model = train_traits(X, targets, tight())
-        bundle = ModelBundle(kind="traits", vocab_hash="abc",
-                             policy=ScalingPolicy("linear", "log2"),
+        bundle = ModelBundle(vocab_hash="abc", policy=ScalingPolicy("linear", "log2"),
                              config=tight(), model=model)
         path = tmp_path / "m.model"
         save_model(bundle, path)
         loaded = load_model(path)
+        assert loaded.kind == "traits"
         assert loaded.config.epsilon == bundle.config.epsilon
         X = self.random_inputs(3)
         assert predict(loaded.model, X) == predict(model, X)
@@ -420,7 +420,7 @@ class TestModelFiles:
         X = dense([0, 1], [0, 2], [3, 0], [4, 0])
         model = train_binary(X, [1, 1, -1, -1], TrainConfig(), label_positive=label,
                              label_negative="Male")
-        bundle = ModelBundle(kind="binary", vocab_hash="h" * 64, policy=ScalingPolicy("linear", "log2"),
+        bundle = ModelBundle(vocab_hash="h" * 64, policy=ScalingPolicy("linear", "log2"),
                              config=TrainConfig(), model=model)
         path = tmp_path / "m.model"
         save_model(bundle, path)
@@ -499,19 +499,19 @@ class TestHeads:
         X = matrix_from_rows([{j: rng.uniform(-2, 2) for j in range(3)} for _ in range(9)], 3)
         targets = [dict.fromkeys("ENACO", round(rng.uniform(-0.4, 0.4), 2)) for _ in range(9)]
         return X, {
-            "labels": train_binary(X, [1, -1, 1] * 3, tight(), label_positive="F", label_negative="M"),
-            "classes": train_ovr(X, ["a", "b", "c"] * 3, tight()),
+            "binary": train_binary(X, [1, -1, 1] * 3, tight(), label_positive="F", label_negative="M"),
+            "ovr": train_ovr(X, ["a", "b", "c"] * 3, tight()),
             "traits": train_traits(X, targets, tight()),
         }
 
     def test_layout_and_inverse(self):
         X, models = self.trained()
-        for tag, model in models.items():
-            got_tag, labels, heads = learner._heads(model)
-            assert got_tag == tag
-            assert len(heads) == {"labels": 1, "classes": 3, "traits": 5}[tag]
+        for kind, model in models.items():
+            got_kind, labels, heads = learner._heads(model)
+            assert got_kind == kind
+            assert len(heads) == {"binary": 1, "ovr": 3, "traits": 5}[kind]
             assert all(head.converged is not None and head.objectives for head in heads)
-            rebuilt = learner._model(got_tag, labels, heads)
+            rebuilt = learner._model(got_kind, labels, heads)
             assert type(rebuilt) is type(model)
             assert predict(rebuilt, X) == predict(model, X)
             assert learner._heads(rebuilt)[1] == labels
@@ -525,16 +525,32 @@ class TestHeads:
             return margins(X, weights, biases)
 
         monkeypatch.setattr(learner, "margins", spy)
-        predict(models["labels"], X)
-        assert seen[0] is models["labels"].weights
+        predict(models["binary"], X)
+        assert seen[0] is models["binary"].weights
 
-    def test_bundle_kind_must_match_the_model(self, tmp_path):
+    def test_bundle_kind_is_read_off_the_model(self, tmp_path):
         _, models = self.trained()
-        bundle = ModelBundle(kind="binary", vocab_hash="", policy=ScalingPolicy("linear", "linear"),
-                             config=tight(), model=models["classes"])
-        with pytest.raises(DataError, match="cannot hold a OneVsRestModel"):
-            save_model(bundle, tmp_path / "m.model")
-        assert not (tmp_path / "m.model").exists()
+        labels_tag = {"binary": "labels", "ovr": "classes", "traits": "traits"}
+        for kind, model in models.items():
+            bundle = ModelBundle(vocab_hash="", policy=ScalingPolicy("linear", "linear"),
+                                 config=tight(), model=model)
+            assert bundle.kind == kind
+            with pytest.raises(AttributeError):
+                bundle.kind = "binary" if kind != "binary" else "ovr"
+            path = tmp_path / f"{kind}.model"
+            save_model(bundle, path)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == f"styloprof-model-v1\t{kind}"
+            assert lines[5].split("\t")[0] == labels_tag[kind]
+            assert load_model(path).kind == kind
+
+    def test_header_kind_must_match_the_labels_line(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(fit_binary_bundle(), path)
+        path.write_text(path.read_text(encoding="utf-8").replace("\tbinary\n", "\tovr\n", 1),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="expected a 'classes' line, found 'labels'"):
+            load_model(path)
 
     def test_no_model_copies_the_training_config(self):
         for model in self.trained()[1].values():

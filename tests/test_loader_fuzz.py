@@ -140,7 +140,7 @@ def saved(tmp_path_factory):
     }
     lines = {"vocab": (folder / "v.tsv").read_text(encoding="utf-8").splitlines()}
     for kind, model in models.items():
-        bundle = ModelBundle(kind=kind, vocab_hash=vocab.content_hash(),
+        bundle = ModelBundle(vocab_hash=vocab.content_hash(),
                              policy=ScalingPolicy("linear", "log2"), config=cfg, model=model)
         save_model(bundle, folder / f"{kind}.model")
         lines[kind] = (folder / f"{kind}.model").read_text(encoding="utf-8").splitlines()
