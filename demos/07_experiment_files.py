@@ -13,7 +13,7 @@ from pathlib import Path
 
 from styloprof.experiment import (extract_config, parse_config_text,
                                   render_result, run_experiment, strip_timings)
-from styloprof.synthetic import write_marker_csv, write_sweep_csv
+from styloprof.synthetic import write_marker_csv
 
 work = Path(tempfile.mkdtemp(prefix="styloprof-demo-"))
 write_marker_csv(work / "train.csv", n_docs=200, seed=0)
@@ -45,7 +45,7 @@ print("deterministic re-run:",
 
 # a sweep trains one independent sub-experiment per sample size k;
 # pooling more comments per sample makes weak signal usable
-write_sweep_csv(work / "sweep.csv", n_docs=600, seed=1)
+write_marker_csv(work / "sweep.csv", n_docs=600, seed=1, marker_rate=0.3)
 SWEEP = CONFIG.replace("train.csv", "sweep.csv") + "\n[sweep]\nk_values = 1, 4, 8\n"
 swept = run_experiment(parse_config_text(SWEEP, base_dir=str(work)))
 print("\nk vs accuracy:")

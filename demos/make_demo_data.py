@@ -13,7 +13,7 @@ import random
 from pathlib import Path
 
 from styloprof.corpus import Document, LabelSet, Sample, save_pan_truth_dir
-from styloprof.synthetic import write_marker_csv, write_sweep_csv
+from styloprof.synthetic import write_marker_csv
 
 data = Path(__file__).resolve().parent / "data"
 data.mkdir(exist_ok=True)
@@ -21,7 +21,7 @@ data.mkdir(exist_ok=True)
 # flat comment corpora: id,gender,text rows
 write_marker_csv(data / "train_es.csv", n_docs=240, seed=0)
 write_marker_csv(data / "eval_es.csv", n_docs=60, seed=9)
-write_sweep_csv(data / "sweep_es.csv", n_docs=600, seed=1)
+write_marker_csv(data / "sweep_es.csv", n_docs=600, seed=1, marker_rate=0.3)
 
 # a truth-dir corpus: truth.txt plus one text file per author, carrying
 # gender, age band and the five trait values

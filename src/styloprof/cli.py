@@ -97,98 +97,84 @@ def _cmd_predict(args) -> int:
     bundle = load_model(args.model, expected_vocab_hash=vocab.content_hash())
     samples = _prepared_samples(args)
     rows = predict_samples(bundle, vocab, samples)
+    truth = truth_rows(bundle.kind, samples) if args.truth_out else None
     write_lines(args.output, [_format_row(r) for r in rows])
-    if args.truth_out:
-        write_lines(args.truth_out, [_format_row(r) for r in truth_rows(bundle.kind, samples)])
+    if truth is not None:
+        write_lines(args.truth_out, [_format_row(r) for r in truth])
     print(f"predicted {len(rows)} sample(s) -> {args.output}")
     return 0
 
 
-def _read_label_rows(path) -> list[tuple[str, str]]:
-    rows = []
+def _label_value(parts: list[str], where: str) -> str:
+    if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
+        raise DataError(f"{where}: expected `sample_id<TAB>label[<TAB>margin]`")
+    if len(parts) == 3:
+        try:
+            margin = float(parts[2])
+        except ValueError:
+            raise DataError(f"{where}: unparsable margin {parts[2]!r}") from None
+        if not math.isfinite(margin):
+            raise DataError(f"{where}: non-finite margin {parts[2]!r}")
+    return parts[1]
+
+
+def _trait_values(parts: list[str], where: str) -> dict[str, float]:
+    if len(parts) != 1 + len(TRAIT_NAMES) or not parts[0]:
+        raise DataError(f"{where}: expected a sample id and {len(TRAIT_NAMES)} trait=value fields")
+    values = {}
+    for token in parts[1:]:
+        if "=" not in token:
+            raise DataError(f"{where}: malformed trait field {token!r}")
+        name, raw_value = token.split("=", 1)
+        if name not in TRAIT_NAMES:
+            raise DataError(f"{where}: unknown trait {name!r}")
+        try:
+            values[name] = float(raw_value)
+        except ValueError:
+            raise DataError(f"{where}: unparsable trait value {raw_value!r}") from None
+        if not math.isfinite(values[name]):
+            raise DataError(f"{where}: non-finite trait value {raw_value!r}")
+        if not (TRAIT_MIN <= values[name] <= TRAIT_MAX):
+            raise DataError(f"{where}: trait {name} = {values[name]} "
+                            f"outside [{TRAIT_MIN}, {TRAIT_MAX}]")
+    if len(values) != len(TRAIT_NAMES):
+        raise DataError(f"{where}: duplicate or missing trait fields")
+    return values
+
+
+def _read_rows(path, task: str) -> dict:
+    """Sample id -> label, or -> trait->value dict for `traits`, in file
+    order, from a prediction or truth file: one row per sample id, blank
+    lines skipped."""
+    parse = _trait_values if task == "traits" else _label_value
+    rows = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-            raise DataError(f"{path}:{lineno}: expected `sample_id<TAB>label[<TAB>margin]`")
-        if len(parts) == 3:
-            try:
-                margin = float(parts[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparsable margin {parts[2]!r}") from None
-            if not math.isfinite(margin):
-                raise DataError(f"{path}:{lineno}: non-finite margin {parts[2]!r}")
-        rows.append((parts[0], parts[1]))
+        where, parts = f"{path}:{lineno}", line.split("\t")
+        value = parse(parts, where)
+        if parts[0] in rows:
+            raise DataError(f"{where}: duplicate sample id {parts[0]!r}")
+        rows[parts[0]] = value
     return rows
-
-
-def _read_trait_rows(path) -> list[tuple[str, dict[str, float]]]:
-    rows = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 1 + len(TRAIT_NAMES):
-            raise DataError(f"{path}:{lineno}: expected a sample id and {len(TRAIT_NAMES)} trait=value fields")
-        values = {}
-        for token in parts[1:]:
-            if "=" not in token:
-                raise DataError(f"{path}:{lineno}: malformed trait field {token!r}")
-            name, raw_value = token.split("=", 1)
-            if name not in TRAIT_NAMES:
-                raise DataError(f"{path}:{lineno}: unknown trait {name!r}")
-            try:
-                values[name] = float(raw_value)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparsable trait value {raw_value!r}") from None
-            if not math.isfinite(values[name]):
-                raise DataError(f"{path}:{lineno}: non-finite trait value {raw_value!r}")
-            if not (TRAIT_MIN <= values[name] <= TRAIT_MAX):
-                raise DataError(f"{path}:{lineno}: trait {name} = {values[name]} "
-                                f"outside [{TRAIT_MIN}, {TRAIT_MAX}]")
-        if len(values) != len(TRAIT_NAMES):
-            raise DataError(f"{path}:{lineno}: duplicate or missing trait fields")
-        rows.append((parts[0], values))
-    return rows
-
-
-def _join(pred_rows, truth_rows_, pred_path, truth_path):
-    truth_map = {}
-    for sid, value in truth_rows_:
-        if sid in truth_map:
-            raise DataError(f"{truth_path}: duplicate sample id {sid!r}")
-        truth_map[sid] = value
-    joined = []
-    seen = set()
-    for sid, value in pred_rows:
-        if sid in seen:
-            raise DataError(f"{pred_path}: duplicate sample id {sid!r}")
-        seen.add(sid)
-        if sid not in truth_map:
-            raise DataError(f"{pred_path}: sample {sid!r} has no entry in {truth_path}")
-        joined.append((value, truth_map[sid]))
-    missing = [sid for sid, _ in truth_rows_ if sid not in seen]
-    if missing:
-        raise DataError(f"{truth_path}: no predictions for {len(missing)} sample(s), e.g. {missing[0]!r}")
-    return joined
 
 
 def _cmd_evaluate(args) -> int:
+    pred, truth = _read_rows(args.predictions, args.task), _read_rows(args.truth, args.task)
+    extra = [sid for sid in pred if sid not in truth]
+    if extra:
+        raise DataError(f"{args.predictions}: sample {extra[0]!r} has no entry in {args.truth}")
+    missing = [sid for sid in truth if sid not in pred]
+    if missing:
+        raise DataError(f"{args.truth}: no predictions for {len(missing)} sample(s), e.g. {missing[0]!r}")
+    y_pred, y_true = list(pred.values()), [truth[sid] for sid in pred]
     if args.task == "traits":
-        joined = _join(_read_trait_rows(args.predictions), _read_trait_rows(args.truth),
-                       args.predictions, args.truth)
-        pred_by_trait = {name: [p[name] for p, _ in joined] for name in TRAIT_NAMES}
-        truth_by_trait = {name: [t[name] for _, t in joined] for name in TRAIT_NAMES}
-        rep = trait_rmse_report(pred_by_trait, truth_by_trait)
+        rep = trait_rmse_report({name: [p[name] for p in y_pred] for name in TRAIT_NAMES},
+                                {name: [t[name] for t in y_true] for name in TRAIT_NAMES})
         out = [render_trait_report(rep)]
         out.extend(f"{name}_exact\t{rep.per_trait[name]!r}" for name in TRAIT_NAMES)
         out.append(f"mean_exact\t{rep.mean!r}")
     else:
-        joined = _join(_read_label_rows(args.predictions), _read_label_rows(args.truth),
-                       args.predictions, args.truth)
-        y_pred = [p for p, _ in joined]
-        y_true = [t for _, t in joined]
         classes = list(dict.fromkeys(y_true + y_pred))
         rep = report(confusion(y_true, y_pred, classes))
         out = [render_report(rep), f"accuracy_exact\t{rep.accuracy!r}"]
@@ -196,7 +182,7 @@ def _cmd_evaluate(args) -> int:
             print(f"warning: {warning}", file=sys.stderr)
     if args.output:
         write_lines(args.output, out)
-        print(f"evaluated {len(joined)} sample(s) -> {args.output}")
+        print(f"evaluated {len(pred)} sample(s) -> {args.output}")
     else:
         print("\n".join(out))
     return 0

@@ -214,20 +214,26 @@ def render_age_band(band: str) -> str:
 # ---------------------------------------------------------------------------
 # loaders and writers
 
-def truth_path(dirpath: str) -> str:
-    for name in ("truth.txt", "truth.txt.gz"):
-        candidate = os.path.join(dirpath, name)
+def plain_or_gz(path: str) -> str | None:
+    """`path` if it exists, else `path` + ".gz" if that exists, else None."""
+    for candidate in (path, path + ".gz"):
         if os.path.exists(candidate):
             return candidate
-    raise DataError(f"{dirpath}: missing truth.txt")
+    return None
+
+
+def truth_path(dirpath: str) -> str:
+    found = plain_or_gz(os.path.join(dirpath, "truth.txt"))
+    if found is None:
+        raise DataError(f"{dirpath}: missing truth.txt")
+    return found
 
 
 def author_path(dirpath: str, author_id: str) -> str:
-    for name in (author_id + ".txt", author_id + ".txt.gz"):
-        candidate = os.path.join(dirpath, name)
-        if os.path.exists(candidate):
-            return candidate
-    raise DataError(f"{dirpath}: no document file for author {author_id!r}")
+    found = plain_or_gz(os.path.join(dirpath, author_id + ".txt"))
+    if found is None:
+        raise DataError(f"{dirpath}: no document file for author {author_id!r}")
+    return found
 
 
 def _parse_truth_line(line: str, where: str) -> tuple[str, LabelSet]:

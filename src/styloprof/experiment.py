@@ -42,7 +42,8 @@ from typing import NamedTuple
 
 from .corpus import (CorpusSpec, Document, LabeledDocument, Sample, author_path,
                      group_into_samples, load_flat_csv, load_pan_truth_dir,
-                     open_text, split_lines, stratified_split, truth_path, TRAIT_NAMES)
+                     open_text, plain_or_gz, split_lines, stratified_split, truth_path,
+                     TRAIT_NAMES)
 from .errors import ConfigError, DataError
 from .features import (CHAR, LINEAR, LOG2, MIN_DF, POS, FeatureKey, ScalingPolicy, Vocabulary,
                        build_vocabulary, char_ngrams, default_policy, pos_ngrams, vectorize)
@@ -274,13 +275,6 @@ class PreparedCorpus:
     fingerprint: str
 
 
-def _sidecar_path(base: str) -> str | None:
-    for candidate in (base + ".pos", base + ".pos.gz"):
-        if os.path.exists(candidate):
-            return candidate
-    return None
-
-
 def _process_document(doc: Document, rules, lexicon, stream=None) -> Document:
     normalized = normalize(doc.text, rules).text
     tags = stream if stream is not None else relabel(fallback_tag(simple_tokenize(normalized), lexicon))
@@ -346,7 +340,7 @@ def prepare_corpus(spec: CorpusSpec, rules, lexicon, warnings: list[str]) -> Pre
     unit_docs, tagged = [], 0
     for source, sidecar_base, owner, docs in units:
         loaded.append(source)
-        sidecar = _sidecar_path(sidecar_base)
+        sidecar = plain_or_gz(sidecar_base + ".pos")
         if sidecar:
             loaded.append(sidecar)
             streams = _sidecar_streams(sidecar, len(docs), owner, rules)
@@ -429,29 +423,6 @@ def _first_appearance(values) -> list:
     return list(dict.fromkeys(values))
 
 
-def _train_task(task: str, X, train_samples: list[Sample], tc: TrainConfig,
-                policy: ScalingPolicy, vocab_hash: str, warnings: list[str]) -> ModelBundle:
-    """Fit the task's model; warns when submodels stopped at the epoch cap."""
-    kind = TASKS[task].kind
-    labels = [value for _, value in truth_rows(kind, train_samples)]
-    if kind == "binary":
-        classes = _first_appearance(labels)
-        if len(classes) != 2:
-            raise DataError(f"gender task needs exactly two classes in training data, got {classes}")
-        y = [1 if lab == classes[0] else -1 for lab in labels]
-        model = train_binary(X, y, tc, label_positive=classes[0], label_negative=classes[1])
-    elif kind == "ovr":
-        model = train_ovr(X, labels, tc)
-    else:
-        model = train_traits(X, labels, tc)
-    converged = [head.converged for head in _heads(model)[2]]
-    capped = converged.count(False)
-    if capped:
-        warnings.append(f"{capped} of {len(converged)} submodels stopped at the epoch cap "
-                        f"({tc.epochs} epochs) before reaching tolerance {tc.tolerance!r}")
-    return ModelBundle(vocab_hash=vocab_hash, policy=policy, config=tc, model=model)
-
-
 def predict_one(bundle: ModelBundle, X):
     """Predictions for every row of the matrix X, one per sample: (label,
     margin) for classifiers, a trait->value dict for regressors."""
@@ -483,11 +454,28 @@ def truth_rows(kind: str, samples: list[Sample]) -> list[tuple]:
 def _fit(task: str, samples: list[Sample], policy: ScalingPolicy, min_df: int, tc: TrainConfig,
          warnings: list[str]) -> tuple[Vocabulary, ModelBundle]:
     """Counts, vocabulary, one matrix and the task's model, from training
-    samples only."""
+    samples only; warns when submodels stopped at the epoch cap."""
     counts = batch_counts(samples)
     vocab = build_vocabulary(counts, min_df=min_df)
     X = vectorize(counts, vocab, policy)
-    return vocab, _train_task(task, X, samples, tc, policy, vocab.content_hash(), warnings)
+    kind = TASKS[task].kind
+    labels = [value for _, value in truth_rows(kind, samples)]
+    if kind == "binary":
+        classes = _first_appearance(labels)
+        if len(classes) != 2:
+            raise DataError(f"gender task needs exactly two classes in training data, got {classes}")
+        y = [1 if lab == classes[0] else -1 for lab in labels]
+        model = train_binary(X, y, tc, label_positive=classes[0], label_negative=classes[1])
+    elif kind == "ovr":
+        model = train_ovr(X, labels, tc)
+    else:
+        model = train_traits(X, labels, tc)
+    converged = [head.converged for head in _heads(model)[2]]
+    capped = converged.count(False)
+    if capped:
+        warnings.append(f"{capped} of {len(converged)} submodels stopped at the epoch cap "
+                        f"({tc.epochs} epochs) before reaching tolerance {tc.tolerance!r}")
+    return vocab, ModelBundle(vocab_hash=vocab.content_hash(), policy=policy, config=tc, model=model)
 
 
 def run_single(task: str, train_samples: list[Sample], test_samples: list[Sample],

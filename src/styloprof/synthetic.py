@@ -58,16 +58,6 @@ def marker_corpus(n_docs: int = 400, seed: int = 0, marker_rate: float = 1.0) ->
     return docs
 
 
-def sweep_corpus(n_docs: int = 600, seed: int = 1, marker_rate: float = 0.3) -> list[LabeledDocument]:
-    """Weak per-comment signal: only a fraction of comments carry their
-    class marker, so accuracy improves as comments are pooled into
-    larger samples."""
-    return marker_corpus(n_docs=n_docs, seed=seed, marker_rate=marker_rate)
-
-
 def write_marker_csv(path, n_docs: int = 400, seed: int = 0, marker_rate: float = 1.0) -> None:
     save_flat_csv(marker_corpus(n_docs=n_docs, seed=seed, marker_rate=marker_rate), path)
 
-
-def write_sweep_csv(path, n_docs: int = 600, seed: int = 1, marker_rate: float = 0.3) -> None:
-    save_flat_csv(sweep_corpus(n_docs=n_docs, seed=seed, marker_rate=marker_rate), path)

@@ -5,7 +5,7 @@ import gzip
 import pytest
 
 from styloprof.cli import build_parser, main
-from styloprof.corpus import Document, LabelSet, Sample, save_pan_truth_dir
+from styloprof.corpus import AGE_BANDS, Document, LabelSet, Sample, save_pan_truth_dir
 from styloprof.experiment import TASKS
 from styloprof.features import Vocabulary
 from styloprof.learner import load_model
@@ -396,6 +396,57 @@ language = es
                      "--truth", str(tmp_path / "gold.tsv.gz"),
                      "--task", "gender"]) == 0
 
+    def test_failed_truth_out_writes_neither_file(self, tmp_path, capsys):
+        """An age model has no age band to dump for a flat corpus: the
+        command fails before it writes the predictions either."""
+        samples = [Sample(id=f"a{i}", documents=[Document(f"a{i}/0", f"hola {':)' * (i % 3)} gente")],
+                          labels=LabelSet(gender=("Female", "Male")[i % 2], age_band=AGE_BANDS[i % 3]))
+                   for i in range(6)]
+        save_pan_truth_dir(samples, str(tmp_path / "pan"))
+        (tmp_path / "exp.ini").write_text(PAN_CONFIG.format(task="age"), encoding="utf-8")
+        assert main(["train", "--config", str(tmp_path / "exp.ini"), "--model-out", str(tmp_path / "m.model"),
+                     "--vocab-out", str(tmp_path / "m.vocab")]) == 0
+        write_marker_csv(tmp_path / "flat.csv", n_docs=10)
+        code = main(["predict", "--model", str(tmp_path / "m.model"), "--vocab", str(tmp_path / "m.vocab"),
+                     "--corpus-format", "FlatCsv", "--corpus-path", str(tmp_path / "flat.csv"),
+                     "--language", "es", "--output", str(tmp_path / "pred.tsv"),
+                     "--truth-out", str(tmp_path / "gold.tsv")])
+        assert code == 3
+        assert "sample 'F#0' lacks a age band label" in capsys.readouterr().err
+        assert not (tmp_path / "pred.tsv").exists()
+        assert not (tmp_path / "gold.tsv").exists()
+
+    def test_evaluate_scores_as_a_cross_run_does(self, tmp_path, capsys):
+        """`run` in cross mode and `train`, `predict --truth-out` and
+        `evaluate` on the same two corpora give the same scores."""
+        write_gender_setup(tmp_path, n_docs=40)
+        write_marker_csv(tmp_path / "test.csv", n_docs=16, seed=5, marker_rate=0.5)
+        (tmp_path / "cross.ini").write_text(GENDER_CONFIG + "\n[test_corpus]\nformat = FlatCsv\n"
+                                            "path = test.csv\nlanguage = es\n", encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / "cross.ini"), "--output", str(tmp_path / "r.txt")]) == 0
+        assert main(["train", "--config", str(tmp_path / "exp.ini"), "--model-out", str(tmp_path / "m.model"),
+                     "--vocab-out", str(tmp_path / "m.vocab")]) == 0
+        assert main(["predict", "--model", str(tmp_path / "m.model"), "--vocab", str(tmp_path / "m.vocab"),
+                     "--corpus-format", "FlatCsv", "--corpus-path", str(tmp_path / "test.csv"),
+                     "--language", "es", "--output", str(tmp_path / "p.tsv"),
+                     "--truth-out", str(tmp_path / "t.tsv")]) == 0
+        assert main(["evaluate", "--predictions", str(tmp_path / "p.tsv"), "--truth", str(tmp_path / "t.tsv"),
+                     "--task", "gender", "--output", str(tmp_path / "e.txt")]) == 0
+        result = (tmp_path / "r.txt").read_text(encoding="utf-8").splitlines()
+        evaluated = (tmp_path / "e.txt").read_text(encoding="utf-8").splitlines()
+        accuracy = next(line.split("\t")[1] for line in result if line.startswith("accuracy\t"))
+        assert f"accuracy_exact\t{accuracy}" in evaluated
+
+        def class_rows(lines):
+            """Label -> P, R and F cells of a rendered report's class rows."""
+            rows = [line.split("\t") for line in lines[1:] if line.count("\t") == 4]
+            return {cells[0]: cells[1:4] for cells in rows}
+
+        result_report = result[result.index("## report") + 1:result.index("## config")]
+        assert result_report[0] == evaluated[0] == "class\tP\tR\tF\tA"
+        assert class_rows(evaluated) == class_rows(result_report)
+        assert sorted(class_rows(evaluated)) == ["Female", "Male"]
+
 
 PAN_CONFIG = """\
 [experiment]
@@ -464,6 +515,23 @@ class TestEvaluateErrors:
     def test_duplicate_truth_id(self, tmp_path, capsys):
         argv = self.write_pair(tmp_path, "a\tF\n", "a\tF\na\tM\n")
         assert main(argv) == 3
+
+    @pytest.mark.parametrize("side", ["predictions", "truth"])
+    def test_repeated_id_names_its_line(self, tmp_path, capsys, side):
+        rows = {"predictions": "a\tF\t1.0\nb\tM\t-1.0\n", "truth": "a\tF\nb\tM\n"}
+        rows[side] += "\na\tM\n" if side == "truth" else "\na\tM\t0.5\n"
+        argv = self.write_pair(tmp_path, rows["predictions"], rows["truth"])
+        assert main(argv) == 3
+        path = tmp_path / ("p.tsv" if side == "predictions" else "t.tsv")
+        assert f"{path}:4: duplicate sample id 'a'" in capsys.readouterr().err
+
+    def test_empty_trait_id(self, tmp_path, capsys):
+        row = "E=0.1\tN=0.1\tA=0.1\tC=0.1\tO=0.1\n"
+        (tmp_path / "p.tsv").write_text(f"a\t{row}\t{row}", encoding="utf-8")
+        (tmp_path / "t.tsv").write_text(f"a\t{row}", encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(tmp_path / "p.tsv"),
+                     "--truth", str(tmp_path / "t.tsv"), "--task", "traits"]) == 3
+        assert f"{tmp_path / 'p.tsv'}:2: expected a sample id and 5 trait=value fields" in capsys.readouterr().err
 
     def test_malformed_label_row(self, tmp_path, capsys):
         argv = self.write_pair(tmp_path, "only_an_id\n", "a\tF\n")

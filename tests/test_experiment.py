@@ -42,7 +42,7 @@ from styloprof.experiment import (
 from styloprof.features import ScalingPolicy
 from styloprof.learner import TrainConfig
 from styloprof.normalize import default_rules, load_rules, normalize
-from styloprof.synthetic import marker_corpus, write_marker_csv, write_sweep_csv
+from styloprof.synthetic import marker_corpus, write_marker_csv
 
 from oracles import reference_as_samples, reference_prepare_corpus
 
@@ -687,7 +687,7 @@ class TestEpochCapWarning:
         assert self.WARNING in train_full(cfg)[3]
 
     def test_sweep_names_the_sample_size(self, tmp_path):
-        write_sweep_csv(tmp_path / "train.csv", n_docs=40)
+        write_marker_csv(tmp_path / "train.csv", n_docs=40, seed=1, marker_rate=0.3)
         text = self.CAPPED + "\n[sweep]\nk_values = 1, 2\n"
         result = run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
         capped = [w for w in result.warnings if "epoch cap" in w]
@@ -720,7 +720,7 @@ def run_view(outcome):
 class TestSweep:
     def run_sweep(self, tmp_path, k_text, text=MINIMAL):
         text += f"\n[sweep]\nk_values = {k_text}\n"
-        write_sweep_csv(tmp_path / "train.csv", n_docs=120, seed=1)
+        write_marker_csv(tmp_path / "train.csv", n_docs=120, seed=1, marker_rate=0.3)
         return run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
 
     def test_sweep_rows_shape(self, tmp_path):
@@ -769,7 +769,7 @@ class TestResultFiles:
 
     def test_sweep_sections(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nk_values = 1\n"
-        write_sweep_csv(tmp_path / "train.csv", n_docs=40)
+        write_marker_csv(tmp_path / "train.csv", n_docs=40, seed=1, marker_rate=0.3)
         result = run_experiment(parse_config_text(text, base_dir=str(tmp_path)))
         headers = [ln for ln in render_result(result).splitlines() if ln.startswith("## ")]
         assert headers == ["## provenance", "## sweep", "## sweep_provenance",

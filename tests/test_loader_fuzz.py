@@ -28,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from styloprof.cli import _read_label_rows, _read_trait_rows
+from styloprof.cli import _read_rows
 from styloprof.corpus import TRAIT_NAMES, CorpusSpec, load_flat_csv, load_pan_truth_dir
 from styloprof.errors import ConfigError, DataError, StyloprofError
 from styloprof.experiment import extract_config, parse_config_text, render_result, run_experiment
@@ -243,10 +243,11 @@ READERS = {
     "truth": ("truth.txt", "a1:::F:::25-34:::0.1:::-0.2:::0.0:::0.5:::-0.5\na2:::M:::18-24\n",
               _load_truth_dir),
     "flatcsv": ("corpus.csv", 'id,gender,text\n1,F,"hola, señora"\n2,M,casa\n', _load_csv),
-    "label-predictions": ("pred.tsv", "a1\tFemale\t0.25\na2\tMale\t-1.5e-3\n", _read_label_rows),
-    "label-truth": ("truth.tsv", "a1\tFemale\na2\t25-34\n", _read_label_rows),
+    "label-predictions": ("pred.tsv", "a1\tFemale\t0.25\na2\tMale\t-1.5e-3\n",
+                          lambda path: _read_rows(path, "gender")),
+    "label-truth": ("truth.tsv", "a1\tFemale\na2\t25-34\n", lambda path: _read_rows(path, "age")),
     "traits": ("traits.tsv", "a1\tE=0.1\tN=-0.2\tA=0.0\tC=0.5\tO=-0.5\n"
-               "a2\tE=0.25\tN=0.1\tA=-0.3\tC=0.0\tO=0.2\n", _read_trait_rows),
+               "a2\tE=0.25\tN=0.1\tA=-0.3\tC=0.0\tO=0.2\n", lambda path: _read_rows(path, "traits")),
 }
 AUTHOR_FILES = {"a1.txt": "hola gente\n", "a2.txt": "casa\n"}
 WRAPS = ("plain", "gzip-of-mutated", "mutated-gzip")
@@ -358,8 +359,10 @@ def test_mutated_evaluate_rows(tmp_path_factory, reader, ops):
     if rows is None:
         return
     kept = [line.split("\t") for line in lines if line.strip()]
-    assert [row[0] for row in rows] == [fields[0] for fields in kept]
-    for fields, (sid, value) in zip(kept, rows):
+    assert list(rows) == [fields[0] for fields in kept]
+    ids = [fields[0] for fields in kept]
+    assert all(ids) and len(set(ids)) == len(ids)  # one row per nonempty sample id
+    for fields, value in zip(kept, rows.values()):
         if reader == "traits":
             assert sorted(value) == sorted(TRAIT_NAMES)
             assert all(np.isfinite(v) for v in value.values())
@@ -381,7 +384,7 @@ def test_mutated_evaluate_rows(tmp_path_factory, reader, ops):
 def test_malformed_label_row_rejected(tmp_path, line, message):
     write(tmp_path / "pred.tsv", ["b\tM\t0.5", line])
     with pytest.raises(DataError, match=message) as info:
-        _read_label_rows(tmp_path / "pred.tsv")
+        _read_rows(tmp_path / "pred.tsv", "gender")
     assert f"{tmp_path / 'pred.tsv'}:2:" in str(info.value)
 
 
